@@ -3,10 +3,13 @@ package server
 import (
 	"bytes"
 	"encoding/json"
+	"flag"
 	"fmt"
 	"io"
 	"net/http"
 	"net/http/httptest"
+	"os"
+	"path/filepath"
 	"strings"
 	"testing"
 	"time"
@@ -91,10 +94,17 @@ func TestModelEndpointDeterministic(t *testing.T) {
 	}
 }
 
-func TestModelEndpointBaselines(t *testing.T) {
+var updateGolden = flag.Bool("update-golden", false, "rewrite golden files")
+
+// TestModelEndpointGolden sends one /v1/model request per accelerator
+// through server.New and pins each response body (elapsed time zeroed)
+// against testdata/model_endpoint.golden. Run with -update-golden after an
+// intentional change.
+func TestModelEndpointGolden(t *testing.T) {
 	_, ts := newTestServer(t, nil)
-	for _, accel := range []string{"ristretto-ns", "bitfusion", "scnn", "sparten-mp"} {
-		body := fmt.Sprintf(`{"net":"AlexNet","precision":"4b","scale":32,"accel":%q}`, accel)
+	var sb strings.Builder
+	for _, accel := range []string{"ristretto", "ristretto-ns", "bitfusion", "laconic", "laconic-mod", "sparten", "sparten-mp", "scnn", "snap"} {
+		body := fmt.Sprintf(`{"net":"AlexNet","precision":"mix2/4","scale":32,"accel":%q}`, accel)
 		resp, b := post(t, ts, "/v1/model", body)
 		if resp.StatusCode != http.StatusOK {
 			t.Fatalf("%s request = %d: %s", accel, resp.StatusCode, b)
@@ -103,6 +113,28 @@ func TestModelEndpointBaselines(t *testing.T) {
 		if err := json.Unmarshal(b, &mr); err != nil || mr.Cycles <= 0 {
 			t.Fatalf("%s: implausible response %s (err %v)", accel, b, err)
 		}
+		mr.ElapsedMS = 0
+		line, _ := json.Marshal(mr)
+		sb.Write(line)
+		sb.WriteByte('\n')
+	}
+	got := sb.String()
+	path := filepath.Join("testdata", "model_endpoint.golden")
+	if *updateGolden {
+		if err := os.MkdirAll("testdata", 0o755); err != nil {
+			t.Fatal(err)
+		}
+		if err := os.WriteFile(path, []byte(got), 0o644); err != nil {
+			t.Fatal(err)
+		}
+		return
+	}
+	want, err := os.ReadFile(path)
+	if err != nil {
+		t.Fatalf("missing golden file (run with -update-golden): %v", err)
+	}
+	if string(want) != got {
+		t.Fatalf("/v1/model responses drifted from %s.\n--- got ---\n%s\n--- want ---\n%s", path, got, want)
 	}
 }
 
