@@ -15,14 +15,9 @@ import (
 	"os"
 	"strings"
 
+	"ristretto/internal/accel"
 	"ristretto/internal/atom"
 	"ristretto/internal/balance"
-	"ristretto/internal/baselines/bitfusion"
-	"ristretto/internal/baselines/laconic"
-	"ristretto/internal/baselines/scnn"
-	"ristretto/internal/baselines/snap"
-	"ristretto/internal/baselines/sparten"
-	"ristretto/internal/energy"
 	"ristretto/internal/experiments"
 	"ristretto/internal/model"
 	"ristretto/internal/ristretto"
@@ -30,16 +25,22 @@ import (
 )
 
 func main() {
+	var layered []string // the accelerators whose estimate has per-layer detail
+	for _, a := range accel.All() {
+		if a.PerLayer {
+			layered = append(layered, a.Name)
+		}
+	}
 	net := flag.String("net", "ResNet-18", "network: AlexNet, VGG-16, GoogLeNet, Inception-V2, ResNet-18, ResNet-50")
 	precision := flag.String("precision", "8b", "8b, 4b, 2b or mix2/4")
-	accel := flag.String("accel", "ristretto", "ristretto, ristretto-ns, bitfusion, laconic, laconic-mod, sparten, sparten-mp, scnn, snap")
+	accelName := flag.String("accel", "ristretto", strings.Join(accel.Names(), ", "))
 	tiles := flag.Int("tiles", 32, "Ristretto compute tiles")
 	mults := flag.Int("mults", 32, "atom multipliers per tile")
 	gran := flag.Int("gran", 2, "atom granularity in bits (1-3)")
-	bal := flag.String("balance", "wa", "load balancing: wa, w, none")
+	bal := flag.String("balance", "wa", "load balancing: "+strings.Join(balance.PolicyNames, ", "))
 	seed := flag.Int64("seed", 1, "workload seed")
 	scale := flag.Int("scale", 1, "spatial scale-down factor")
-	perLayer := flag.Bool("layers", false, "print per-layer detail (ristretto only)")
+	perLayer := flag.Bool("layers", false, "print per-layer detail ("+strings.Join(layered, ", ")+" only)")
 	telem := flag.Bool("telemetry", false, "enable telemetry and print the counter snapshot")
 	manifestPath := flag.String("manifest", "", "also write a run manifest to this path (implies -telemetry)")
 	version := flag.Bool("version", false, "print version and VCS info, then exit")
@@ -55,10 +56,14 @@ func main() {
 	// Validate every enum flag up front: an unknown value must name the
 	// allowed set and exit non-zero instead of silently falling through (or
 	// panicking deep inside a sweep).
-	accels := []string{"ristretto", "ristretto-ns", "bitfusion", "laconic", "laconic-mod", "sparten", "sparten-mp", "scnn", "snap"}
-	checkEnum("accel", *accel, accels)
+	checkEnum("accel", *accelName, accel.Names())
 	checkEnum("precision", *precision, experiments.PrecisionNames)
-	checkEnum("balance", *bal, []string{"wa", "w", "none"})
+	checkEnum("balance", *bal, balance.PolicyNames)
+	a, _ := accel.ByName(*accelName)
+	if *perLayer && !a.PerLayer {
+		fatal(fmt.Errorf("-layers needs per-layer detail, which only %s have; -accel %s has none",
+			strings.Join(layered, ", "), *accelName))
+	}
 	if *gran < 1 || *gran > 3 {
 		fatal(fmt.Errorf("invalid -gran %d (allowed: 1, 2, 3)", *gran))
 	}
@@ -91,59 +96,27 @@ func main() {
 	n := b.Networks()[0]
 	stats := b.Stats(n, *precision, atom.Granularity(*gran))
 
-	var policy balance.Policy
-	switch *bal {
-	case "wa":
-		policy = balance.WeightAct
-	case "w":
-		policy = balance.WeightOnly
-	case "none":
-		policy = balance.None
+	policy, _ := balance.ParsePolicy(*bal) // validated above
+	rc := ristretto.Config{
+		Tiles:  *tiles,
+		Tile:   ristretto.TileConfig{Mults: *mults, Gran: atom.Granularity(*gran)},
+		Policy: policy,
+	}
+	perf := a.Estimate(stats, rc)
+	if *perLayer {
+		fmt.Printf("%-16s %12s %12s %6s\n", "layer", "cycles", "ideal", "util")
+		for i, lp := range perf.Layers {
+			fmt.Printf("%-16s %12d %12d %5.1f%%\n", stats[i].Layer.Name, lp.Cycles, lp.IdealCycles, 100*lp.Utilization)
+		}
 	}
 
-	m := energy.Default()
-	var cycles int64
-	var cnt energy.Counters
-	switch *accel {
-	case "ristretto", "ristretto-ns":
-		cfg := ristretto.Config{
-			Tiles:  *tiles,
-			Tile:   ristretto.TileConfig{Mults: *mults, Gran: atom.Granularity(*gran)},
-			Policy: policy,
-			Dense:  *accel == "ristretto-ns",
-		}
-		perf := ristretto.EstimateNetwork(stats, cfg)
-		cycles, cnt = perf.Cycles, perf.Counters
-		m = energy.ModelForGranularity(*gran)
-		if *perLayer {
-			fmt.Printf("%-16s %12s %12s %6s\n", "layer", "cycles", "ideal", "util")
-			for i, lp := range perf.Layers {
-				fmt.Printf("%-16s %12d %12d %5.1f%%\n", stats[i].Layer.Name, lp.Cycles, lp.IdealCycles, 100*lp.Utilization)
-			}
-		}
-	case "bitfusion":
-		cycles, cnt = bitfusion.EstimateNetwork(stats, bitfusion.DefaultConfig())
-	case "laconic":
-		cycles, cnt = laconic.EstimateNetwork(stats, laconic.DefaultConfig())
-	case "sparten":
-		cycles, cnt = sparten.EstimateNetwork(stats, sparten.DefaultConfig())
-	case "sparten-mp":
-		cycles, cnt = sparten.EstimateNetwork(stats, sparten.Config{CUs: 32, MP: true})
-	case "laconic-mod":
-		cycles, cnt = laconic.EstimateNetworkModified(stats, laconic.DefaultConfig())
-	case "scnn":
-		cycles, cnt = scnn.EstimateNetwork(stats, scnn.DefaultConfig())
-	case "snap":
-		cycles, cnt = snap.EstimateNetwork(stats, snap.DefaultConfig())
-	}
-
-	split := m.Split(cnt)
+	split := a.Energy(rc).Split(perf.Counters)
 	fmt.Printf("network      : %s (%s, %d conv layers, %.2f GMACs)\n", n.Name, *precision, len(n.Layers), float64(n.MACs())/1e9)
-	fmt.Printf("accelerator  : %s\n", *accel)
-	fmt.Printf("cycles       : %d (%.3f ms @ 500 MHz)\n", cycles, float64(cycles)/500e3)
+	fmt.Printf("accelerator  : %s\n", *accelName)
+	fmt.Printf("cycles       : %d (%.3f ms @ 500 MHz)\n", perf.Cycles, float64(perf.Cycles)/500e3)
 	fmt.Printf("energy       : %.3f mJ (compute %.3f, on-chip %.3f, DRAM %.3f)\n",
 		split.Total()/1e9, split.ComputePJ/1e9, split.OnChipPJ/1e9, split.OffChipPJ/1e9)
-	fmt.Printf("DRAM traffic : %.2f MB\n", float64(cnt.DRAMBytes)/(1<<20))
+	fmt.Printf("DRAM traffic : %.2f MB\n", float64(perf.Counters.DRAMBytes)/(1<<20))
 
 	if *telem {
 		snap := telemetry.Default.Snapshot()

@@ -1,5 +1,6 @@
 // Mixed-precision network sweep: estimate ResNet-18 inference across
-// quantization settings on Ristretto and all baselines — the workload the
+// quantization settings on every accelerator in the table (Ristretto, its
+// sparsity-disabled variant, and all baselines) — the workload the
 // paper's introduction motivates (mixed-precision quantized models with
 // dual-sided irregular sparsity).
 //
@@ -9,12 +10,9 @@ package main
 import (
 	"fmt"
 
+	"ristretto/internal/accel"
 	"ristretto/internal/atom"
 	"ristretto/internal/balance"
-	"ristretto/internal/baselines/bitfusion"
-	"ristretto/internal/baselines/laconic"
-	"ristretto/internal/baselines/sparten"
-	"ristretto/internal/energy"
 	"ristretto/internal/experiments"
 	"ristretto/internal/ristretto"
 )
@@ -23,24 +21,16 @@ func main() {
 	b := experiments.NewQuickBench(7, 2) // half-scale spatial dims for a fast demo
 	b.Nets = []string{"ResNet-18"}
 	n := b.Networks()[0]
-	m := energy.Default()
+	rcfg := ristretto.Config{Tiles: 32, Tile: ristretto.TileConfig{Mults: 16, Gran: 2}, Policy: balance.WeightAct}
 
 	fmt.Printf("ResNet-18 (%d conv layers), synthetic quantized+pruned operands, 500 MHz\n\n", len(n.Layers))
 	fmt.Printf("%-8s %-12s %14s %12s %12s\n", "prec", "accelerator", "cycles", "ms", "energy mJ")
 	for _, prec := range experiments.PrecisionNames {
 		stats := b.Stats(n, prec, atom.Granularity(2))
-		rcfg := ristretto.Config{Tiles: 32, Tile: ristretto.TileConfig{Mults: 16, Gran: 2}, Policy: balance.WeightAct}
-		rp := ristretto.EstimateNetwork(stats, rcfg)
-		print(prec, "ristretto", rp.Cycles, m.TotalPJ(rp.Counters))
-
-		bc, bcnt := bitfusion.EstimateNetwork(stats, bitfusion.DefaultConfig())
-		print(prec, "bitfusion", bc, m.TotalPJ(bcnt))
-		lc, lcnt := laconic.EstimateNetwork(stats, laconic.DefaultConfig())
-		print(prec, "laconic", lc, m.TotalPJ(lcnt))
-		sc, scnt := sparten.EstimateNetwork(stats, sparten.DefaultConfig())
-		print(prec, "sparten", sc, m.TotalPJ(scnt))
-		mc, mcnt := sparten.EstimateNetwork(stats, sparten.Config{CUs: 32, MP: true})
-		print(prec, "sparten-mp", mc, m.TotalPJ(mcnt))
+		for _, a := range accel.All() {
+			perf := a.Estimate(stats, rcfg)
+			print(prec, a.Name, perf.Cycles, a.Energy(rcfg).TotalPJ(perf.Counters))
+		}
 		fmt.Println()
 	}
 	fmt.Println("(half-scale spatial dims; run cmd/ristretto-bench -scale 1 for paper-scale figures)")

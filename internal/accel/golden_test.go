@@ -8,60 +8,18 @@ import (
 	"strings"
 	"testing"
 
+	"ristretto/internal/accel"
 	"ristretto/internal/atom"
 	"ristretto/internal/balance"
-	"ristretto/internal/baselines/bitfusion"
-	"ristretto/internal/baselines/laconic"
-	"ristretto/internal/baselines/scnn"
-	"ristretto/internal/baselines/snap"
-	"ristretto/internal/baselines/sparten"
-	"ristretto/internal/energy"
 	"ristretto/internal/experiments"
 	"ristretto/internal/ristretto"
-	"ristretto/internal/workload"
 )
 
 var updateGolden = flag.Bool("update-golden", false, "rewrite golden files")
 
-var goldenNames = []string{"ristretto", "ristretto-ns", "bitfusion", "laconic", "laconic-mod", "sparten", "sparten-mp", "scnn", "snap"}
-
-// estimate is the accelerator dispatch of ristretto-sim at its default
-// shape (32 tiles × 32 two-bit multipliers, w/a balancing).
-func estimate(name string, stats []workload.LayerStats) (int64, energy.Counters, energy.Model) {
-	switch name {
-	case "ristretto", "ristretto-ns":
-		cfg := ristretto.Config{
-			Tiles:  32,
-			Tile:   ristretto.TileConfig{Mults: 32, Gran: 2},
-			Policy: balance.WeightAct,
-			Dense:  name == "ristretto-ns",
-		}
-		perf := ristretto.EstimateNetwork(stats, cfg)
-		return perf.Cycles, perf.Counters, energy.ModelForGranularity(2)
-	case "bitfusion":
-		c, cnt := bitfusion.EstimateNetwork(stats, bitfusion.DefaultConfig())
-		return c, cnt, energy.Default()
-	case "laconic":
-		c, cnt := laconic.EstimateNetwork(stats, laconic.DefaultConfig())
-		return c, cnt, energy.Default()
-	case "laconic-mod":
-		c, cnt := laconic.EstimateNetworkModified(stats, laconic.DefaultConfig())
-		return c, cnt, energy.Default()
-	case "sparten":
-		c, cnt := sparten.EstimateNetwork(stats, sparten.DefaultConfig())
-		return c, cnt, energy.Default()
-	case "sparten-mp":
-		c, cnt := sparten.EstimateNetwork(stats, sparten.Config{CUs: 32, MP: true})
-		return c, cnt, energy.Default()
-	case "scnn":
-		c, cnt := scnn.EstimateNetwork(stats, scnn.DefaultConfig())
-		return c, cnt, energy.Default()
-	case "snap":
-		c, cnt := snap.EstimateNetwork(stats, snap.DefaultConfig())
-		return c, cnt, energy.Default()
-	}
-	panic("unknown accelerator " + name)
-}
+// cliShape is ristretto-sim's default Ristretto shape: 32 tiles × 32
+// two-bit multipliers, w/a balancing.
+var cliShape = ristretto.Config{Tiles: 32, Tile: ristretto.TileConfig{Mults: 32, Gran: 2}, Policy: balance.WeightAct}
 
 // TestEstimateGolden pins every accelerator's analytic network estimate —
 // cycles, DRAM bytes, every energy counter and the energy split — on
@@ -75,10 +33,11 @@ func TestEstimateGolden(t *testing.T) {
 	for _, n := range b.Networks() {
 		for _, prec := range experiments.PrecisionNames {
 			stats := b.Stats(n, prec, atom.Granularity(2))
-			for _, name := range goldenNames {
-				cycles, cnt, m := estimate(name, stats)
+			for _, a := range accel.All() {
+				perf := a.Estimate(stats, cliShape)
+				cnt := perf.Counters
 				fmt.Fprintf(&sb, "%s %s %s cycles=%d dram=%d\n  counters=%+v\n  split=%+v\n",
-					n.Name, prec, name, cycles, cnt.DRAMBytes, cnt, m.Split(cnt))
+					n.Name, prec, a.Name, perf.Cycles, cnt.DRAMBytes, cnt, a.Energy(cliShape).Split(cnt))
 			}
 		}
 	}

@@ -13,6 +13,7 @@ package balance
 import (
 	"fmt"
 	"sort"
+	"strings"
 )
 
 // Policy selects a balancing method.
@@ -38,6 +39,23 @@ func (p Policy) String() string {
 		return "w/a balancing"
 	}
 	return fmt.Sprintf("Policy(%d)", int(p))
+}
+
+// PolicyNames lists the short policy names that flags and requests accept,
+// in the order their help text gives them.
+var PolicyNames = []string{"wa", "w", "none"}
+
+// ParsePolicy maps a short policy name from PolicyNames to its Policy.
+func ParsePolicy(name string) (Policy, error) {
+	switch name {
+	case "wa":
+		return WeightAct, nil
+	case "w":
+		return WeightOnly, nil
+	case "none":
+		return None, nil
+	}
+	return 0, fmt.Errorf("balance: unknown policy %q (allowed: %s)", name, strings.Join(PolicyNames, ", "))
 }
 
 // Cost returns C_T for one channel: T·⌈S/N⌉ (Eq. 5, ε omitted as in the

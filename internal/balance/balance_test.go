@@ -145,6 +145,24 @@ func TestPolicyString(t *testing.T) {
 	}
 }
 
+func TestParsePolicy(t *testing.T) {
+	want := map[string]Policy{"wa": WeightAct, "w": WeightOnly, "none": None}
+	if len(PolicyNames) != len(want) {
+		t.Fatalf("PolicyNames = %v, want the %d names %v", PolicyNames, len(want), want)
+	}
+	for _, name := range PolicyNames {
+		p, err := ParsePolicy(name)
+		if err != nil || p != want[name] {
+			t.Errorf("ParsePolicy(%q) = %v, %v; want %v", name, p, err, want[name])
+		}
+	}
+	for _, bad := range []string{"", "WA", "w/a", "w balancing"} {
+		if _, err := ParsePolicy(bad); err == nil {
+			t.Errorf("ParsePolicy(%q) accepted an unknown name", bad)
+		}
+	}
+}
+
 func TestCostDegenerateMultipliers(t *testing.T) {
 	// Regression: zero or negative multiplier counts must cost nothing, not
 	// divide by zero (reachable from DSE grids and CLI flags).

@@ -3,12 +3,8 @@ package conformance
 import (
 	"fmt"
 
+	"ristretto/internal/accel"
 	"ristretto/internal/balance"
-	"ristretto/internal/baselines/bitfusion"
-	"ristretto/internal/baselines/laconic"
-	"ristretto/internal/baselines/scnn"
-	"ristretto/internal/baselines/snap"
-	"ristretto/internal/baselines/sparten"
 	"ristretto/internal/core"
 	"ristretto/internal/model"
 	"ristretto/internal/ristretto"
@@ -16,23 +12,25 @@ import (
 	"ristretto/internal/workload"
 )
 
-// The built-in adapter set: the four Ristretto-side views of the dataflow
-// and the five baseline accelerator models (plus their variants). Every
-// adapter routes the numerics through that engine's own arithmetic
-// primitive, so agreement with refconv is evidence about the dataflow, not
-// about a shared multiply routine.
+// The built-in adapter set: the Ristretto-side views of the dataflow, plus
+// every accelerator-table row with a functional simulator, under the row's
+// name. Every adapter routes the numerics through that engine's own
+// arithmetic primitive, so agreement with refconv is evidence about the
+// dataflow, not about a shared multiply routine.
 func init() {
 	Register(Engine{Name: "csc", Run: runCSC(false)})
 	Register(Engine{Name: "csc-ns", Run: runCSC(true)})
 	Register(Engine{Name: "tile-sim", Run: runTileSim})
 	Register(Engine{Name: "core-sim", Run: runCoreSim})
 	Register(Engine{Name: "analytic", Analytic: true, Run: runAnalytic})
-	Register(Engine{Name: "bitfusion", Run: runBitfusion})
-	Register(Engine{Name: "laconic", Run: runLaconic})
-	Register(Engine{Name: "scnn", Run: runSCNN})
-	Register(Engine{Name: "snap", Run: runSnap})
-	Register(Engine{Name: "sparten", Run: runSparten(false)})
-	Register(Engine{Name: "sparten-mp", Run: runSparten(true)})
+	for _, a := range accel.All() {
+		if sim := a.Simulate; sim != nil {
+			Register(Engine{Name: a.Name, Run: func(cs Case, f *tensor.FeatureMap, w *tensor.KernelStack) Result {
+				out, cycles := sim(f, w, cs.Stride, cs.Pad)
+				return Result{Output: out, Cycles: cycles, AtomMuls: -1}
+			}})
+		}
+	}
 }
 
 // runCSC adapts the functional condensed-streaming pipeline; dense selects
@@ -100,33 +98,4 @@ func runAnalytic(cs Case, f *tensor.FeatureMap, w *tensor.KernelStack) Result {
 		muls = -1
 	}
 	return Result{Cycles: p.Cycles, AtomMuls: muls}
-}
-
-func runBitfusion(cs Case, f *tensor.FeatureMap, w *tensor.KernelStack) Result {
-	r := bitfusion.SimulateLayer(f, w, cs.Stride, cs.Pad, bitfusion.DefaultConfig())
-	return Result{Output: r.Output, Cycles: r.Cycles, AtomMuls: -1}
-}
-
-func runLaconic(cs Case, f *tensor.FeatureMap, w *tensor.KernelStack) Result {
-	r := laconic.SimulateLayer(f, w, cs.Stride, cs.Pad, laconic.DefaultConfig())
-	return Result{Output: r.Output, Cycles: r.Cycles, AtomMuls: -1}
-}
-
-func runSCNN(cs Case, f *tensor.FeatureMap, w *tensor.KernelStack) Result {
-	r := scnn.SimulateLayer(f, w, cs.Stride, cs.Pad, scnn.DefaultConfig())
-	return Result{Output: r.Output, Cycles: r.Cycles, AtomMuls: -1}
-}
-
-func runSnap(cs Case, f *tensor.FeatureMap, w *tensor.KernelStack) Result {
-	r := snap.SimulateLayer(f, w, cs.Stride, cs.Pad, snap.DefaultConfig())
-	return Result{Output: r.Output, Cycles: r.Cycles, AtomMuls: -1}
-}
-
-func runSparten(mp bool) func(Case, *tensor.FeatureMap, *tensor.KernelStack) Result {
-	return func(cs Case, f *tensor.FeatureMap, w *tensor.KernelStack) Result {
-		cfg := sparten.DefaultConfig()
-		cfg.MP = mp
-		r := sparten.SimulateLayer(f, w, cs.Stride, cs.Pad, cfg)
-		return Result{Output: r.Output, Cycles: r.Cycles, AtomMuls: -1}
-	}
 }

@@ -3,28 +3,88 @@ package experiments
 import (
 	"fmt"
 
+	"ristretto/internal/accel"
 	"ristretto/internal/atom"
 	"ristretto/internal/balance"
-	"ristretto/internal/baselines/bitfusion"
-	"ristretto/internal/baselines/laconic"
-	"ristretto/internal/baselines/sparten"
 	"ristretto/internal/energy"
 	"ristretto/internal/model"
 	"ristretto/internal/ristretto"
 	"ristretto/internal/workload"
 )
 
-// precNetCells evaluates fn over the precision × network cross product on
-// the bench worker pool, returning cells in precision-major order — the
-// iteration order of the serial loops it replaces, so assembling rows from
-// the returned slice reproduces the serial output bit for bit. A non-nil
-// error (a panicking cell, or run cancellation) means the cells are partial
-// and the caller must fail its Result instead of rendering zeros.
-func precNetCells[T any](b *Bench, precs []string, fn func(prec string, n *model.Network) T) ([]T, error) {
+// netSweep evaluates fn on every network's stats (at granularity gran) at
+// each precision, on the bench worker pool, and regroups the values:
+// cols[p][j] lists value j at precs[p] over the networks, in network order
+// — the iteration order of the serial loops it replaces, so rows built from
+// it reproduce the serial output bit for bit. width is the number of values
+// fn returns. A non-nil error (a panicking cell, or run cancellation) means
+// the values are partial and the caller must fail its Result instead of
+// rendering zeros.
+func (b *Bench) netSweep(precs []string, gran atom.Granularity, width int, fn func([]workload.LayerStats) []float64) ([][][]float64, error) {
 	nets := b.Networks()
-	return mapCells(b, len(precs)*len(nets), func(i int) (T, error) {
-		return fn(precs[i/len(nets)], nets[i%len(nets)]), nil
+	cells, err := mapCells(b, len(precs)*len(nets), func(i int) ([]float64, error) {
+		return fn(b.Stats(nets[i%len(nets)], precs[i/len(nets)], gran)), nil
 	})
+	if err != nil {
+		return nil, err
+	}
+	cols := make([][][]float64, len(precs))
+	for p := range cols {
+		cols[p] = make([][]float64, width)
+		for j := range cols[p] {
+			for ni := range nets {
+				cols[p][j] = append(cols[p][j], cells[p*len(nets)+ni][j])
+			}
+		}
+	}
+	return cols, nil
+}
+
+// speedupFigure fills r, whose header is network, precision, one column
+// per value of fn, then the tail columns, from a netSweep: one row per
+// network with the values as f2, and when mean is set a geomean row closing
+// each precision.
+func (b *Bench) speedupFigure(r *Result, precs []string, gran atom.Granularity, mean bool, fn func([]workload.LayerStats) []float64, tail ...string) *Result {
+	cols, err := b.netSweep(precs, gran, len(r.Header)-2-len(tail), fn)
+	if err != nil {
+		return r.fail(err)
+	}
+	for p, prec := range precs {
+		for ni, n := range b.Networks() {
+			row := []string{n.Name, prec}
+			for _, col := range cols[p] {
+				row = append(row, f2(col[ni]))
+			}
+			r.AddRow(append(row, tail...)...)
+		}
+		if mean {
+			row := []string{"geomean", prec}
+			for _, col := range cols[p] {
+				row = append(row, f2(geomean(col)))
+			}
+			r.AddRow(append(row, tail...)...)
+		}
+	}
+	return r
+}
+
+// energyFigure fills r, whose header is precision, one column per value of
+// fn, then the baseline, from a netSweep over the four precisions: one row
+// per precision holding each value's geomean over the networks as a
+// percentage, then the baseline's 100%.
+func (b *Bench) energyFigure(r *Result, gran atom.Granularity, fn func([]workload.LayerStats) []float64) *Result {
+	cols, err := b.netSweep(PrecisionNames, gran, len(r.Header)-2, fn)
+	if err != nil {
+		return r.fail(err)
+	}
+	for p, prec := range PrecisionNames {
+		row := []string{prec}
+		for _, col := range cols[p] {
+			row = append(row, pct(geomean(col)))
+		}
+		r.AddRow(append(row, "100%")...)
+	}
+	return r
 }
 
 // Matched configurations of Section V:
@@ -51,37 +111,15 @@ func (b *Bench) Figure12() *Result {
 		Notes:  "paper averages: 8.2x / 7.47x / 7.13x / 6.73x at 8/4/2/mixed bits; Ristretto-ns ≈ Bit Fusion",
 	}
 	rcfg := ristrettoVsBitFusion()
-	nscfg := rcfg
-	nscfg.Dense = true
-	bfcfg := bitfusion.DefaultConfig()
+	ris, ns, bf := accel.Must("ristretto"), accel.Must("ristretto-ns"), accel.Must("bitfusion")
 	areaR := energy.RistrettoArea(rcfg.Tiles, rcfg.Tile.Mults, int(rcfg.Tile.Gran)).Total()
-	areaB := energy.BitFusionArea(bfcfg.Units())
-	type cell struct{ s, sns float64 }
-	cells, err := precNetCells(b, PrecisionNames, func(prec string, n *model.Network) cell {
-		stats := b.Stats(n, prec, rcfg.Tile.Gran)
-		cr := ristretto.EstimateNetwork(stats, rcfg).Cycles
-		cns := ristretto.EstimateNetwork(stats, nscfg).Cycles
-		cbf, _ := bitfusion.EstimateNetwork(stats, bfcfg)
-		return cell{
-			s:   areaNormSpeedup(cbf, areaB, cr, areaR),
-			sns: areaNormSpeedup(cbf, areaB, cns, areaR),
+	return b.speedupFigure(r, PrecisionNames, rcfg.Tile.Gran, true, func(stats []workload.LayerStats) []float64 {
+		cbf := bf.Estimate(stats, rcfg).Cycles
+		return []float64{
+			areaNormSpeedup(cbf, bf.Area, ris.Estimate(stats, rcfg).Cycles, areaR),
+			areaNormSpeedup(cbf, bf.Area, ns.Estimate(stats, rcfg).Cycles, areaR),
 		}
-	})
-	if err != nil {
-		return r.fail(err)
-	}
-	nets := b.Networks()
-	for pi, prec := range PrecisionNames {
-		var sp, spNS []float64
-		for ni, n := range nets {
-			c := cells[pi*len(nets)+ni]
-			sp = append(sp, c.s)
-			spNS = append(spNS, c.sns)
-			r.AddRow(n.Name, prec, f2(c.s), f2(c.sns), "1.00")
-		}
-		r.AddRow("geomean", prec, f2(geomean(sp)), f2(geomean(spNS)), "1.00")
-	}
-	return r
+	}, "1.00")
 }
 
 // areaNormSpeedup returns (perf/area of the contender) / (perf/area of the
@@ -100,31 +138,12 @@ func (b *Bench) Figure13() *Result {
 		Notes:  "paper: 41.84% / 32.29% / 33.33% / 26.16% of Bit Fusion at 8/4/2/mixed bits",
 	}
 	rcfg := ristrettoVsBitFusion()
-	bfcfg := bitfusion.DefaultConfig()
-	m := energy.Default()
-	type cell struct{ ratio, dram float64 }
-	cells, err := precNetCells(b, PrecisionNames, func(prec string, n *model.Network) cell {
-		stats := b.Stats(n, prec, rcfg.Tile.Gran)
-		cr := ristretto.EstimateNetwork(stats, rcfg).Counters
-		_, cbf := bitfusion.EstimateNetwork(stats, bfcfg)
-		er := m.Split(cr)
-		eb := m.Split(cbf)
-		return cell{ratio: er.Total() / eb.Total(), dram: er.OffChipPJ / er.Total()}
+	ris, bf := accel.Must("ristretto"), accel.Must("bitfusion")
+	return b.energyFigure(r, rcfg.Tile.Gran, func(stats []workload.LayerStats) []float64 {
+		er := ris.Energy(rcfg).Split(ris.Estimate(stats, rcfg).Counters)
+		eb := bf.Energy(rcfg).Split(bf.Estimate(stats, rcfg).Counters)
+		return []float64{er.Total() / eb.Total(), er.OffChipPJ / er.Total()}
 	})
-	if err != nil {
-		return r.fail(err)
-	}
-	nNets := len(b.Networks())
-	for pi, prec := range PrecisionNames {
-		var ratios, dramShare []float64
-		for ni := 0; ni < nNets; ni++ {
-			c := cells[pi*nNets+ni]
-			ratios = append(ratios, c.ratio)
-			dramShare = append(dramShare, c.dram)
-		}
-		r.AddRow(prec, pct(geomean(ratios)), pct(geomean(dramShare)), "100%")
-	}
-	return r
 }
 
 // Figure14 compares performance against Laconic at matched compute area.
@@ -136,27 +155,10 @@ func (b *Bench) Figure14() *Result {
 		Notes:  "paper averages: 3.58x / 4.18x / 6.12x / 5.69x at 8/4/2/mixed bits (grows as precision narrows)",
 	}
 	rcfg := ristrettoVsLaconic()
-	lcfg := laconic.DefaultConfig()
-	cells, err := precNetCells(b, PrecisionNames, func(prec string, n *model.Network) float64 {
-		stats := b.Stats(n, prec, rcfg.Tile.Gran)
-		cr := ristretto.EstimateNetwork(stats, rcfg).Cycles
-		cl, _ := laconic.EstimateNetwork(stats, lcfg)
-		return float64(cl) / float64(cr)
+	ris, lac := accel.Must("ristretto"), accel.Must("laconic")
+	return b.speedupFigure(r, PrecisionNames, rcfg.Tile.Gran, true, func(stats []workload.LayerStats) []float64 {
+		return []float64{float64(lac.Estimate(stats, rcfg).Cycles) / float64(ris.Estimate(stats, rcfg).Cycles)}
 	})
-	if err != nil {
-		return r.fail(err)
-	}
-	nets := b.Networks()
-	for pi, prec := range PrecisionNames {
-		var sp []float64
-		for ni, n := range nets {
-			s := cells[pi*len(nets)+ni]
-			sp = append(sp, s)
-			r.AddRow(n.Name, prec, f2(s))
-		}
-		r.AddRow("geomean", prec, f2(geomean(sp)))
-	}
-	return r
 }
 
 // Figure15 measures one compute tile's performance against controlled atom
@@ -207,22 +209,11 @@ func (b *Bench) Figure16() *Result {
 		Notes:  "Laconic stores and moves operands densely; Ristretto's compressed formats cut buffer and DRAM energy",
 	}
 	rcfg := ristrettoVsLaconic()
-	lcfg := laconic.DefaultConfig()
-	m := energy.Default()
-	cells, err := precNetCells(b, PrecisionNames, func(prec string, n *model.Network) float64 {
-		stats := b.Stats(n, prec, rcfg.Tile.Gran)
-		cr := ristretto.EstimateNetwork(stats, rcfg).Counters
-		_, cl := laconic.EstimateNetwork(stats, lcfg)
-		return m.TotalPJ(cr) / m.TotalPJ(cl)
+	ris, lac := accel.Must("ristretto"), accel.Must("laconic")
+	return b.energyFigure(r, rcfg.Tile.Gran, func(stats []workload.LayerStats) []float64 {
+		er := ris.Energy(rcfg).TotalPJ(ris.Estimate(stats, rcfg).Counters)
+		return []float64{er / lac.Energy(rcfg).TotalPJ(lac.Estimate(stats, rcfg).Counters)}
 	})
-	if err != nil {
-		return r.fail(err)
-	}
-	nNets := len(b.Networks())
-	for pi, prec := range PrecisionNames {
-		r.AddRow(prec, pct(geomean(cells[pi*nNets:(pi+1)*nNets])), "100%")
-	}
-	return r
 }
 
 // Figure17 compares performance against SparTen and SparTen-mp at matched
@@ -235,37 +226,15 @@ func (b *Bench) Figure17() *Result {
 		Notes:  "paper averages: Ristretto 3.01x/7.70x/8.54x/8.25x at 8/4/2/mixed bits; SparTen-mp in between",
 	}
 	rcfg := ristrettoVsLaconic() // 32×16: same peak BitOps as 32 8-bit CUs
-	stcfg := sparten.DefaultConfig()
-	mpcfg := sparten.Config{CUs: 32, MP: true}
+	ris, st, mp := accel.Must("ristretto"), accel.Must("sparten"), accel.Must("sparten-mp")
 	areaR := energy.RistrettoArea(rcfg.Tiles, rcfg.Tile.Mults, int(rcfg.Tile.Gran)).Total()
-	areaST := energy.SparTenArea(32, false)
-	areaMP := energy.SparTenArea(32, true)
-	type cell struct{ sR, sMP float64 }
-	cells, err := precNetCells(b, PrecisionNames, func(prec string, n *model.Network) cell {
-		stats := b.Stats(n, prec, rcfg.Tile.Gran)
-		cr := ristretto.EstimateNetwork(stats, rcfg).Cycles
-		cst, _ := sparten.EstimateNetwork(stats, stcfg)
-		cmp, _ := sparten.EstimateNetwork(stats, mpcfg)
-		return cell{
-			sR:  areaNormSpeedup(cst, areaST, cr, areaR),
-			sMP: areaNormSpeedup(cst, areaST, cmp, areaMP),
+	return b.speedupFigure(r, PrecisionNames, rcfg.Tile.Gran, true, func(stats []workload.LayerStats) []float64 {
+		cst := st.Estimate(stats, rcfg).Cycles
+		return []float64{
+			areaNormSpeedup(cst, st.Area, ris.Estimate(stats, rcfg).Cycles, areaR),
+			areaNormSpeedup(cst, st.Area, mp.Estimate(stats, rcfg).Cycles, mp.Area),
 		}
-	})
-	if err != nil {
-		return r.fail(err)
-	}
-	nets := b.Networks()
-	for pi, prec := range PrecisionNames {
-		var spR, spMP []float64
-		for ni, n := range nets {
-			c := cells[pi*len(nets)+ni]
-			spR = append(spR, c.sR)
-			spMP = append(spMP, c.sMP)
-			r.AddRow(n.Name, prec, f2(c.sR), f2(c.sMP), "1.00")
-		}
-		r.AddRow("geomean", prec, f2(geomean(spR)), f2(geomean(spMP)), "1.00")
-	}
-	return r
+	}, "1.00")
 }
 
 // Figure18 visualizes load balancing on conv3_2 of 4-bit ResNet-18: 128

@@ -3,14 +3,10 @@ package experiments
 import (
 	"fmt"
 
+	"ristretto/internal/accel"
 	"ristretto/internal/balance"
-	"ristretto/internal/baselines/laconic"
-	"ristretto/internal/baselines/scnn"
-	"ristretto/internal/baselines/snap"
-	"ristretto/internal/baselines/sparten"
 	"ristretto/internal/core"
 	"ristretto/internal/energy"
-	"ristretto/internal/model"
 	"ristretto/internal/ristretto"
 	"ristretto/internal/sparse"
 	"ristretto/internal/tensor"
@@ -34,36 +30,15 @@ func (b *Bench) ExtTableI() *Result {
 		Notes:  "value-level sparse designs cannot exploit narrow precision; Ristretto's atom streams can",
 	}
 	rcfg := ristrettoVsLaconic()
-	precs := []string{"8b", "2b"}
-	type cell struct{ sR, sSC, sSN float64 }
-	cells, err := precNetCells(b, precs, func(prec string, n *model.Network) cell {
-		stats := b.Stats(n, prec, rcfg.Tile.Gran)
-		cr := ristretto.EstimateNetwork(stats, rcfg).Cycles
-		cst, _ := sparten.EstimateNetwork(stats, sparten.DefaultConfig())
-		csc, _ := scnn.EstimateNetwork(stats, scnn.DefaultConfig())
-		csn, _ := snap.EstimateNetwork(stats, snap.DefaultConfig())
-		return cell{
-			sR:  float64(cst) / float64(cr),
-			sSC: float64(cst) / float64(csc),
-			sSN: float64(cst) / float64(csn),
+	ris, st, sc, sn := accel.Must("ristretto"), accel.Must("sparten"), accel.Must("scnn"), accel.Must("snap")
+	return b.speedupFigure(r, []string{"8b", "2b"}, rcfg.Tile.Gran, true, func(stats []workload.LayerStats) []float64 {
+		cst := float64(st.Estimate(stats, rcfg).Cycles)
+		return []float64{
+			cst / float64(ris.Estimate(stats, rcfg).Cycles),
+			cst / float64(sc.Estimate(stats, rcfg).Cycles),
+			cst / float64(sn.Estimate(stats, rcfg).Cycles),
 		}
-	})
-	if err != nil {
-		return r.fail(err)
-	}
-	nets := b.Networks()
-	for pi, prec := range precs {
-		var spR, spSC, spSN []float64
-		for ni, n := range nets {
-			c := cells[pi*len(nets)+ni]
-			spR = append(spR, c.sR)
-			spSC = append(spSC, c.sSC)
-			spSN = append(spSN, c.sSN)
-			r.AddRow(n.Name, prec, f2(c.sR), f2(c.sSC), f2(c.sSN), "1.00")
-		}
-		r.AddRow("geomean", prec, f2(geomean(spR)), f2(geomean(spSC)), f2(geomean(spSN)), "1.00")
-	}
-	return r
+	}, "1.00")
 }
 
 // ExtFigure3 quantifies the Figure 3 strawman: plain Laconic vs the
@@ -77,33 +52,17 @@ func (b *Bench) ExtFigure3() *Result {
 		Notes:  "the modification helps cycles but pays 1.6x PE area; Ristretto's unified dataflow needs no bolt-on matching",
 	}
 	rcfg := ristrettoVsLaconic()
-	lcfg := laconic.DefaultConfig()
+	ris, lac, mod := accel.Must("ristretto"), accel.Must("laconic"), accel.Must("laconic-mod")
 	areaR := energy.RistrettoArea(rcfg.Tiles, rcfg.Tile.Mults, int(rcfg.Tile.Gran)).Total()
-	areaL := energy.LaconicArea(lcfg.PEs())
-	areaM := energy.LaconicArea(lcfg.PEs()) * laconic.ModifiedAreaFactor
-	precs := []string{"8b", "2b"}
-	cells, err := precNetCells(b, precs, func(prec string, n *model.Network) [3]float64 {
-		stats := b.Stats(n, prec, rcfg.Tile.Gran)
-		cl, _ := laconic.EstimateNetwork(stats, lcfg)
-		cm, _ := laconic.EstimateNetworkModified(stats, lcfg)
-		cr := ristretto.EstimateNetwork(stats, rcfg).Cycles
-		return [3]float64{
+	return b.speedupFigure(r, []string{"8b", "2b"}, rcfg.Tile.Gran, false, func(stats []workload.LayerStats) []float64 {
+		cl := lac.Estimate(stats, rcfg).Cycles
+		cm := mod.Estimate(stats, rcfg).Cycles
+		return []float64{
 			float64(cl) / float64(cm),
-			areaNormSpeedup(cl, areaL, cm, areaM),
-			areaNormSpeedup(cl, areaL, cr, areaR),
+			areaNormSpeedup(cl, lac.Area, cm, mod.Area),
+			areaNormSpeedup(cl, lac.Area, ris.Estimate(stats, rcfg).Cycles, areaR),
 		}
 	})
-	if err != nil {
-		return r.fail(err)
-	}
-	nets := b.Networks()
-	for pi, prec := range precs {
-		for ni, n := range nets {
-			c := cells[pi*len(nets)+ni]
-			r.AddRow(n.Name, prec, f2(c[0]), f2(c[1]), f2(c[2]))
-		}
-	}
-	return r
 }
 
 // ExtStride quantifies Section IV-C3: the naive full-stride-1 intersection

@@ -118,14 +118,14 @@ func exportedReceiver(fd *ast.FuncDecl) bool {
 }
 
 // TestExportedDocComments requires doc comments on every exported
-// identifier of the packages that promise full godoc: the telemetry PR's
-// internal/telemetry, internal/runner and internal/ristretto, plus the
-// serving PR's internal/server and internal/loadtest.
+// identifier of the packages that promise full godoc: internal/telemetry,
+// internal/runner, internal/ristretto, internal/server, internal/loadtest
+// and internal/accel.
 func TestExportedDocComments(t *testing.T) {
 	root := repoRoot(t)
 	for _, pkg := range []string{
 		"internal/telemetry", "internal/runner", "internal/ristretto",
-		"internal/server", "internal/loadtest",
+		"internal/server", "internal/loadtest", "internal/accel",
 	} {
 		fset, files := parseDir(t, filepath.Join(root, pkg))
 		for _, f := range files {

@@ -6,6 +6,8 @@ import (
 	"net/http"
 	"strings"
 
+	"ristretto/internal/accel"
+	"ristretto/internal/balance"
 	"ristretto/internal/conformance"
 	"ristretto/internal/experiments"
 	"ristretto/internal/model"
@@ -28,10 +30,6 @@ func (e *apiError) Error() string { return e.Msg }
 func badRequest(format string, args ...any) *apiError {
 	return &apiError{Status: http.StatusBadRequest, Msg: fmt.Sprintf(format, args...)}
 }
-
-// accelNames are the accelerators the /v1/model endpoint can estimate,
-// matching ristretto-sim's -accel enum.
-var accelNames = []string{"ristretto", "ristretto-ns", "bitfusion", "laconic", "laconic-mod", "sparten", "sparten-mp", "scnn", "snap"}
 
 func checkEnum(field, val string, allowed []string) *apiError {
 	for _, a := range allowed {
@@ -80,7 +78,7 @@ func (r *ModelRequest) validate(cfg *Config) *apiError {
 	if err := checkEnum("precision", r.Precision, experiments.PrecisionNames); err != nil {
 		return err
 	}
-	if err := checkEnum("accel", r.Accel, accelNames); err != nil {
+	if err := checkEnum("accel", r.Accel, accel.Names()); err != nil {
 		return err
 	}
 	return validateShape(r.Tiles, r.Mults, r.Gran, r.Balance, r.Scale)
@@ -174,7 +172,7 @@ func precisionBits(p string) (int, bool) {
 }
 
 // applyShapeDefaults fills the shared accelerator-shape defaults.
-func applyShapeDefaults(tiles, mults, gran *int, balance *string) {
+func applyShapeDefaults(tiles, mults, gran *int, bal *string) {
 	if *tiles == 0 {
 		*tiles = 8
 	}
@@ -184,12 +182,12 @@ func applyShapeDefaults(tiles, mults, gran *int, balance *string) {
 	if *gran == 0 {
 		*gran = 2
 	}
-	if *balance == "" {
-		*balance = "wa"
+	if *bal == "" {
+		*bal = "wa"
 	}
 }
 
-func validateShape(tiles, mults, gran int, balance string, scale int) *apiError {
+func validateShape(tiles, mults, gran int, bal string, scale int) *apiError {
 	if tiles < 1 || tiles > 1024 {
 		return badRequest("invalid tiles %d (allowed: 1..1024)", tiles)
 	}
@@ -199,7 +197,7 @@ func validateShape(tiles, mults, gran int, balance string, scale int) *apiError 
 	if gran < 1 || gran > 3 {
 		return badRequest("invalid gran %d (allowed: 1, 2, 3)", gran)
 	}
-	if err := checkEnum("balance", balance, []string{"wa", "w", "none"}); err != nil {
+	if err := checkEnum("balance", bal, balance.PolicyNames); err != nil {
 		return err
 	}
 	if scale < 1 || scale > 1024 {

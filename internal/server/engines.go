@@ -9,13 +9,9 @@ import (
 	"context"
 	"math/rand"
 
+	"ristretto/internal/accel"
 	"ristretto/internal/atom"
 	"ristretto/internal/balance"
-	"ristretto/internal/baselines/bitfusion"
-	"ristretto/internal/baselines/laconic"
-	"ristretto/internal/baselines/scnn"
-	"ristretto/internal/baselines/snap"
-	"ristretto/internal/baselines/sparten"
 	"ristretto/internal/conformance"
 	"ristretto/internal/energy"
 	"ristretto/internal/experiments"
@@ -24,17 +20,6 @@ import (
 	"ristretto/internal/ristretto"
 	"ristretto/internal/workload"
 )
-
-func balancePolicy(name string) balance.Policy {
-	switch name {
-	case "w":
-		return balance.WeightOnly
-	case "none":
-		return balance.None
-	default:
-		return balance.WeightAct
-	}
-}
 
 func energySplit(m energy.Model, c energy.Counters) EnergyPJ {
 	s := m.Split(c)
@@ -57,45 +42,24 @@ func (s *Server) runModel(_ context.Context, req *ModelRequest) (*ModelResponse,
 	n := b.Networks()[0]
 	stats := b.Stats(n, req.Precision, atom.Granularity(req.Gran))
 
-	m := energy.Default()
-	var cycles int64
-	var cnt energy.Counters
-	switch req.Accel {
-	case "ristretto", "ristretto-ns":
-		cfg := ristretto.Config{
-			Tiles:  req.Tiles,
-			Tile:   ristretto.TileConfig{Mults: req.Mults, Gran: atom.Granularity(req.Gran)},
-			Policy: balancePolicy(req.Balance),
-			Dense:  req.Accel == "ristretto-ns",
-		}
-		perf := ristretto.EstimateNetwork(stats, cfg)
-		cycles, cnt = perf.Cycles, perf.Counters
-		m = energy.ModelForGranularity(req.Gran)
-	case "bitfusion":
-		cycles, cnt = bitfusion.EstimateNetwork(stats, bitfusion.DefaultConfig())
-	case "laconic":
-		cycles, cnt = laconic.EstimateNetwork(stats, laconic.DefaultConfig())
-	case "laconic-mod":
-		cycles, cnt = laconic.EstimateNetworkModified(stats, laconic.DefaultConfig())
-	case "sparten":
-		cycles, cnt = sparten.EstimateNetwork(stats, sparten.DefaultConfig())
-	case "sparten-mp":
-		cycles, cnt = sparten.EstimateNetwork(stats, sparten.Config{CUs: 32, MP: true})
-	case "scnn":
-		cycles, cnt = scnn.EstimateNetwork(stats, scnn.DefaultConfig())
-	case "snap":
-		cycles, cnt = snap.EstimateNetwork(stats, snap.DefaultConfig())
+	a, _ := accel.ByName(req.Accel)               // validated with the request
+	policy, _ := balance.ParsePolicy(req.Balance) // validated with the request
+	rc := ristretto.Config{
+		Tiles:  req.Tiles,
+		Tile:   ristretto.TileConfig{Mults: req.Mults, Gran: atom.Granularity(req.Gran)},
+		Policy: policy,
 	}
+	perf := a.Estimate(stats, rc)
 	return &ModelResponse{
 		Net:       req.Net,
 		Accel:     req.Accel,
 		Precision: req.Precision,
 		Layers:    len(n.Layers),
 		MACs:      n.MACs(),
-		Cycles:    cycles,
-		MS:        float64(cycles) / 500e3,
-		Energy:    energySplit(m, cnt),
-		DRAMBytes: cnt.DRAMBytes,
+		Cycles:    perf.Cycles,
+		MS:        float64(perf.Cycles) / 500e3,
+		Energy:    energySplit(a.Energy(rc), perf.Counters),
+		DRAMBytes: perf.Counters.DRAMBytes,
 		Engine:    "analytic",
 	}, nil
 }
@@ -115,12 +79,13 @@ func (s *Server) runSimCore(_ context.Context, req *SimRequest) (*SimResponse, e
 	l := scaledLayer(req.Seed, req.Scale, n, req.Layer)
 	g := simOperands(req)
 	f, k := g.LayerOperands(l, bits, bits, workload.EvalTargets(req.Net, bits, bits))
+	policy, _ := balance.ParsePolicy(req.Balance) // validated with the request
 	cfg := ristretto.CoreSimConfig{
 		Tiles:  req.Tiles,
 		Tile:   ristretto.TileConfig{Mults: req.Mults, Gran: atom.Granularity(req.Gran)},
 		TileW:  req.TileW,
 		TileH:  req.TileH,
-		Policy: balancePolicy(req.Balance),
+		Policy: policy,
 	}
 	res := ristretto.SimulateCore(f, k, l.Stride, l.Pad, cfg)
 	var busy int64
@@ -155,10 +120,11 @@ func (s *Server) runSimAnalytic(_ context.Context, req *SimRequest) (*SimRespons
 	l := scaledLayer(req.Seed, req.Scale, n, req.Layer)
 	g := simOperands(req)
 	st := g.LayerStats(l, bits, bits, atom.Granularity(req.Gran), workload.EvalTargets(req.Net, bits, bits), true)
+	policy, _ := balance.ParsePolicy(req.Balance) // validated with the request
 	cfg := ristretto.Config{
 		Tiles:  req.Tiles,
 		Tile:   ristretto.TileConfig{Mults: req.Mults, Gran: atom.Granularity(req.Gran)},
-		Policy: balancePolicy(req.Balance),
+		Policy: policy,
 	}
 	lp := ristretto.EstimateLayer(st, cfg)
 	return &SimResponse{

@@ -14,6 +14,7 @@ import (
 	"testing"
 	"time"
 
+	"ristretto/internal/accel"
 	"ristretto/internal/conformance"
 	"ristretto/internal/faultinject"
 	"ristretto/internal/telemetry"
@@ -103,15 +104,15 @@ var updateGolden = flag.Bool("update-golden", false, "rewrite golden files")
 func TestModelEndpointGolden(t *testing.T) {
 	_, ts := newTestServer(t, nil)
 	var sb strings.Builder
-	for _, accel := range []string{"ristretto", "ristretto-ns", "bitfusion", "laconic", "laconic-mod", "sparten", "sparten-mp", "scnn", "snap"} {
-		body := fmt.Sprintf(`{"net":"AlexNet","precision":"mix2/4","scale":32,"accel":%q}`, accel)
+	for _, name := range accel.Names() {
+		body := fmt.Sprintf(`{"net":"AlexNet","precision":"mix2/4","scale":32,"accel":%q}`, name)
 		resp, b := post(t, ts, "/v1/model", body)
 		if resp.StatusCode != http.StatusOK {
-			t.Fatalf("%s request = %d: %s", accel, resp.StatusCode, b)
+			t.Fatalf("%s request = %d: %s", name, resp.StatusCode, b)
 		}
 		var mr ModelResponse
 		if err := json.Unmarshal(b, &mr); err != nil || mr.Cycles <= 0 {
-			t.Fatalf("%s: implausible response %s (err %v)", accel, b, err)
+			t.Fatalf("%s: implausible response %s (err %v)", name, b, err)
 		}
 		mr.ElapsedMS = 0
 		line, _ := json.Marshal(mr)
