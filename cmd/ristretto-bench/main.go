@@ -23,7 +23,10 @@
 // newest committed BENCH_*.json. -bench-baseline embeds another manifest's
 // entries as the baseline section and computes the geomean speedup.
 //
-// -scale divides layer spatial dimensions (4 ≈ 16× faster, same ratios).
+// -scale divides layer spatial dimensions (H/W) only, keeping every ratio
+// the figures report. Kernel synthesis, most of a run, does not shrink with
+// it: on a 2-vCPU box a full run takes ~40 s at -scale 1, ~31 s at -scale 4
+// and ~30 s at -scale 32.
 // -parallel bounds the experiment worker pool (0 = all CPUs); the output is
 // bit-identical for every value — only the wall-clock changes.
 // -telemetry turns the counter registry on, prints the per-stage
@@ -65,7 +68,7 @@ import (
 
 func main() {
 	seed := flag.Int64("seed", 1, "workload generation seed")
-	scale := flag.Int("scale", 1, "spatial scale-down factor (1 = paper scale)")
+	scale := flag.Int("scale", 1, "spatial (H/W) scale-down factor (1 = paper scale); kernel synthesis does not shrink")
 	parallel := flag.Int("parallel", 0, "max concurrent experiments (0 = all CPUs, 1 = serial)")
 	only := flag.String("only", "", "run only the experiment whose ID contains this substring")
 	csvDir := flag.String("csv", "", "also write one CSV per experiment into this directory")

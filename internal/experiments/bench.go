@@ -6,8 +6,10 @@ import (
 	"math"
 	"strings"
 	"sync"
+	"unsafe"
 
 	"ristretto/internal/atom"
+	"ristretto/internal/memo"
 	"ristretto/internal/model"
 	"ristretto/internal/runner"
 	"ristretto/internal/telemetry"
@@ -16,7 +18,7 @@ import (
 
 // Bench owns the shared state of an experiment run: the benchmark networks,
 // a deterministic seed, an optional spatial scale-down for quick runs, and a
-// concurrency-safe cache of generated layer statistics so each (network,
+// concurrency-safe store of generated layer statistics so each (network,
 // precision, granularity) workload is synthesized exactly once even when
 // experiments run in parallel.
 type Bench struct {
@@ -35,8 +37,44 @@ type Bench struct {
 	// The CLIs wire SIGINT/SIGTERM here. Nil means context.Background().
 	Ctx context.Context
 
-	mu    sync.Mutex
-	cache map[string]*statsEntry
+	// Store is the statistics store Stats reads through. Benches given one
+	// store synthesize each workload once between them, as ristretto-serve
+	// does for all its requests. Nil means a private store, made on first
+	// use, so separate benches never share work.
+	Store *StatsStore
+
+	mu sync.Mutex // guards the lazy creation of Store
+}
+
+// StatsStore holds synthesized layer statistics, keyed as Stats keys them:
+// network, precision, granularity, seed and scale.
+type StatsStore = memo.Cache[[]workload.LayerStats]
+
+// StatsBudget bounds a StatsStore, in bytes of layer statistics. A full
+// suite at one seed and scale needs 34.2 MB (60 workloads, the largest
+// ResNet-50 at about 1.2 MB), so one ristretto-bench run never evicts.
+const StatsBudget = 64 << 20
+
+// NewStatsStore returns an empty store bounded by StatsBudget. When r is
+// non-nil it reports prefix.{hits,misses,inflight_dedup,evictions} and the
+// gauge prefix.bytes into r.
+func NewStatsStore(r *telemetry.Registry, prefix string) *StatsStore {
+	return memo.New(StatsBudget, statsBytes, r, prefix, "bytes")
+}
+
+// statsBytes is the memory one network's statistics hold: the LayerStats
+// structs and the backing arrays of their per-channel, per-filter and
+// histogram slices.
+func statsBytes(stats []workload.LayerStats) int64 {
+	n := int64(cap(stats)) * int64(unsafe.Sizeof(workload.LayerStats{}))
+	for i := range stats {
+		s := &stats[i]
+		for _, v := range [][]int{s.ActAtomsPerChan, s.WAtomsPerChan, s.ActNZPerChan, s.WNZPerChan,
+			s.WNZPerFilter, s.WAtomsPerFilter, s.ATermHist, s.WTermHist} {
+			n += int64(cap(v)) * int64(unsafe.Sizeof(int(0)))
+		}
+	}
+	return n
 }
 
 // ctx returns the bench context, defaulting to Background.
@@ -64,17 +102,9 @@ func mapCells[T any](b *Bench, n int, fn func(i int) (T, error)) ([]T, error) {
 	return runner.Map(b.ctx(), b.pool(), n, fn)
 }
 
-// statsEntry is a single-flight cache slot: the first caller synthesizes the
-// workload under the entry's once while concurrent callers for the same key
-// wait, instead of duplicating the (expensive) generation or racing the map.
-type statsEntry struct {
-	once  sync.Once
-	stats []workload.LayerStats
-}
-
 // NewBench returns a Bench at full scale.
 func NewBench(seed int64) *Bench {
-	return &Bench{Seed: seed, Scale: 1, cache: map[string]*statsEntry{}}
+	return &Bench{Seed: seed, Scale: 1}
 }
 
 // NewQuickBench returns a Bench with spatial dimensions divided by scale —
@@ -135,33 +165,41 @@ func clampDim(d, k, stride, pad int) int {
 	return d
 }
 
-// Stats returns (cached) layer statistics for a network under a precision
+// store returns the bench's statistics store, making a private one on
+// first use when none was set.
+func (b *Bench) store() *StatsStore {
+	b.mu.Lock()
+	defer b.mu.Unlock()
+	if b.Store == nil {
+		b.Store = NewStatsStore(nil, "")
+	}
+	return b.Store
+}
+
+// Stats returns (stored) layer statistics for a network under a precision
 // name at the given atom granularity. It is safe for concurrent use: the
 // first caller for a key synthesizes the workload, concurrent callers block
-// on that synthesis and share its result (single-flight).
+// on that synthesis and share its result (single-flight). An unknown
+// precision panics in every caller and is never stored; precision names
+// are validated at the CLI and request boundaries.
 func (b *Bench) Stats(n *model.Network, precision string, gran atom.Granularity) []workload.LayerStats {
 	key := fmt.Sprintf("%s|%s|%d|%d|%d", n.Name, precision, gran, b.Seed, b.Scale)
-	b.mu.Lock()
-	if b.cache == nil {
-		b.cache = map[string]*statsEntry{}
-	}
-	e, ok := b.cache[key]
-	if !ok {
-		e = &statsEntry{}
-		b.cache[key] = e
-	}
-	b.mu.Unlock()
-	e.once.Do(func() {
+	// Only the fill can fail: the background context never ends a wait.
+	stats, _, err := b.store().Do(context.Background(), key, func() ([]workload.LayerStats, error) {
 		sn := b.scaled(n)
 		p, err := precisionOf(sn, precision, b.Seed)
 		if err != nil {
-			panic(err) // precision names are validated at the CLI boundary
+			return nil, err
 		}
 		g := workload.NewGen(workload.DeriveSeed(b.Seed, "stats", n.Name, precision, fmt.Sprint(int(gran)), fmt.Sprint(b.Scale)))
-		e.stats = g.NetworkStats(sn, p, gran, true)
-		observeWorkload(precision, e.stats)
+		stats := g.NetworkStats(sn, p, gran, true)
+		observeWorkload(precision, stats)
+		return stats, nil
 	})
-	return e.stats
+	if err != nil {
+		panic(err)
+	}
+	return stats
 }
 
 // observeWorkload flushes per-precision stream statistics of a freshly

@@ -1,6 +1,7 @@
 package experiments
 
 import (
+	"reflect"
 	"strconv"
 	"strings"
 	"testing"
@@ -263,5 +264,33 @@ func TestBenchCache(t *testing.T) {
 	}
 	if len(b.Networks()) != 2 {
 		t.Fatal("network subset not honoured")
+	}
+	// A zero-value Bench (the fleet coordinator builds one) works; benches
+	// given one store share its statistics, others synthesize for themselves.
+	shared := &Bench{Seed: b.Seed, Scale: b.Scale, Store: b.Store}
+	if s := shared.Stats(n, "4b", 2); &s[0] != &s1[0] {
+		t.Fatal("benches sharing a store synthesized the workload twice")
+	}
+	own := &Bench{Seed: b.Seed, Scale: b.Scale}
+	if s := own.Stats(n, "4b", 2); &s[0] == &s1[0] || !reflect.DeepEqual(s, s1) {
+		t.Fatal("a bench without a store must synthesize the same statistics for itself")
+	}
+}
+
+// TestStatsFailedFillNotStored: a synthesis that fails is never stored, so
+// every call for its key fails again instead of answering nil statistics
+// that the estimators would turn into zero cycles.
+func TestStatsFailedFillNotStored(t *testing.T) {
+	b := quickBench()
+	n := b.Networks()[0]
+	for i := 0; i < 2; i++ {
+		func() {
+			defer func() {
+				if recover() == nil {
+					t.Fatalf("call %d with an unknown precision returned instead of panicking", i)
+				}
+			}()
+			b.Stats(n, "3b", 2)
+		}()
 	}
 }

@@ -119,13 +119,14 @@ func exportedReceiver(fd *ast.FuncDecl) bool {
 
 // TestExportedDocComments requires doc comments on every exported
 // identifier of the packages that promise full godoc: internal/telemetry,
-// internal/runner, internal/ristretto, internal/server, internal/loadtest
-// and internal/accel.
+// internal/runner, internal/ristretto, internal/server, internal/loadtest,
+// internal/accel and internal/memo.
 func TestExportedDocComments(t *testing.T) {
 	root := repoRoot(t)
 	for _, pkg := range []string{
 		"internal/telemetry", "internal/runner", "internal/ristretto",
 		"internal/server", "internal/loadtest", "internal/accel",
+		"internal/memo",
 	} {
 		fset, files := parseDir(t, filepath.Join(root, pkg))
 		for _, f := range files {

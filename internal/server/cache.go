@@ -14,12 +14,7 @@ package server
 // byte-identical to cold-path payloads modulo the two documented volatile
 // envelope fields (cached, elapsed_ms) — enforced by TestMemoBitExact.
 
-import (
-	"container/list"
-	"sync"
-
-	"ristretto/internal/telemetry"
-)
+import "ristretto/internal/memo"
 
 // memoizable is implemented by response types the cache can store: Clone
 // returns a shallow copy safe to stamp per-request envelope fields on
@@ -29,119 +24,10 @@ type memoizable interface {
 	memoClone(cached bool) memoizable
 }
 
-// flight is one in-progress cache fill. Waiters block on done; after it
-// closes exactly one of val/aerr is set. Errors are never cached — each
-// fresh request after a failed fill elects a new leader.
-type flight struct {
-	done chan struct{}
-	val  memoizable
-	aerr *apiError
-}
-
-// memoEntry is one cached response keyed by its canonical request.
-type memoEntry struct {
-	key string
-	val memoizable
-}
-
-// memoCache is the LRU + singleflight store. All state is guarded by mu;
-// the critical sections are map/list operations only (computation happens
-// outside the lock), so the lock is microseconds even under contention.
-type memoCache struct {
-	mu      sync.Mutex
-	cap     int
-	ll      *list.List               // front = most recently used
-	entries map[string]*list.Element // key → element holding *memoEntry
-	flights map[string]*flight
-
-	hits      *telemetry.Counter
-	misses    *telemetry.Counter
-	dedup     *telemetry.Counter
-	evictions *telemetry.Counter
-	size      *telemetry.Gauge
-}
-
-// newMemoCache builds a cache bounded to capacity entries, reporting into
-// the registry under the server.cache.* names.
-func newMemoCache(capacity int, r *telemetry.Registry) *memoCache {
-	return &memoCache{
-		cap:       capacity,
-		ll:        list.New(),
-		entries:   map[string]*list.Element{},
-		flights:   map[string]*flight{},
-		hits:      r.Counter("server.cache.hits"),
-		misses:    r.Counter("server.cache.misses"),
-		dedup:     r.Counter("server.cache.inflight_dedup"),
-		evictions: r.Counter("server.cache.evictions"),
-		size:      r.Gauge("server.cache.entries"),
-	}
-}
-
-// get returns the cached pristine value for key, refreshing its recency.
-func (c *memoCache) get(key string) (memoizable, bool) {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	el, ok := c.entries[key]
-	if !ok {
-		return nil, false
-	}
-	c.ll.MoveToFront(el)
-	c.hits.Inc()
-	return el.Value.(*memoEntry).val, true
-}
-
-// join registers interest in a fill for key. The first caller becomes the
-// leader (leader=true, counted as a miss) and must call complete; later
-// callers get the same flight to wait on and are counted as inflight
-// dedups. A fill racing a concurrent complete may find the value already
-// cached; join re-checks so such callers are served as hits.
-func (c *memoCache) join(key string) (fl *flight, val memoizable, leader bool) {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	if el, ok := c.entries[key]; ok { // filled between get and join
-		c.ll.MoveToFront(el)
-		c.hits.Inc()
-		return nil, el.Value.(*memoEntry).val, false
-	}
-	if fl, ok := c.flights[key]; ok {
-		c.dedup.Inc()
-		return fl, nil, false
-	}
-	fl = &flight{done: make(chan struct{})}
-	c.flights[key] = fl
-	c.misses.Inc()
-	return fl, nil, true
-}
-
-// complete finishes a leader's fill: the result is published to waiters
-// and, on success, inserted at the front of the LRU (evicting from the
-// back over capacity). val must already be pristine (envelope zeroed).
-func (c *memoCache) complete(key string, fl *flight, val memoizable, aerr *apiError) {
-	c.mu.Lock()
-	fl.val, fl.aerr = val, aerr
-	delete(c.flights, key)
-	if aerr == nil && val != nil {
-		if el, ok := c.entries[key]; ok {
-			el.Value.(*memoEntry).val = val
-			c.ll.MoveToFront(el)
-		} else {
-			c.entries[key] = c.ll.PushFront(&memoEntry{key: key, val: val})
-			for c.ll.Len() > c.cap {
-				oldest := c.ll.Back()
-				c.ll.Remove(oldest)
-				delete(c.entries, oldest.Value.(*memoEntry).key)
-				c.evictions.Inc()
-			}
-		}
-		c.size.Set(int64(c.ll.Len()))
-	}
-	c.mu.Unlock()
-	close(fl.done)
-}
+// memoCache is the response memo: the shared LRU + singleflight helper,
+// holding up to Config.CacheEntries responses and reporting under the
+// server.cache.* names.
+type memoCache struct{ *memo.Cache[memoizable] }
 
 // len reports the current entry count.
-func (c *memoCache) len() int {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	return c.ll.Len()
-}
+func (c *memoCache) len() int { return c.Len() }

@@ -158,5 +158,6 @@ func (s *Server) runCell(ctx context.Context, req *CellRequest) (any, error) {
 	b := experiments.NewQuickBench(req.Seed, req.Scale)
 	b.Nets = req.Nets
 	b.Ctx = ctx
+	b.Store = s.stats
 	return b.RunCellChecked(req.Cell, experiments.RunOptions{})
 }

@@ -39,6 +39,7 @@ func scaledLayer(seed int64, scale int, n *model.Network, layerName string) mode
 func (s *Server) runModel(_ context.Context, req *ModelRequest) (*ModelResponse, error) {
 	b := experiments.NewQuickBench(req.Seed, req.Scale)
 	b.Nets = []string{req.Net}
+	b.Store = s.stats
 	n := b.Networks()[0]
 	stats := b.Stats(n, req.Precision, atom.Granularity(req.Gran))
 

@@ -14,7 +14,9 @@
 //   - memoization: /v1/model and /v1/quant are pure functions of their
 //     canonicalized request, so hot configurations are answered from a
 //     content-keyed LRU + singleflight cache in microseconds without
-//     touching the admission queue (see cache.go);
+//     touching the admission queue (see cache.go); /v1/model misses and
+//     /v1/cell read layer statistics from one shared store, so the daemon
+//     synthesizes each workload once;
 //   - coalescing: compatible /v1/sim requests arriving within the batch
 //     window share one admission slot and one multi-cell sweep, with
 //     per-waiter deadline fan-out (see batch.go);
@@ -53,7 +55,9 @@ import (
 	"time"
 
 	"ristretto/internal/cellcache"
+	"ristretto/internal/experiments"
 	"ristretto/internal/faultinject"
+	"ristretto/internal/memo"
 	"ristretto/internal/runner"
 	"ristretto/internal/telemetry"
 )
@@ -209,9 +213,10 @@ type Server struct {
 	reg      *telemetry.Registry
 	adm      *admission
 	brk      *breaker
-	memo     *memoCache       // nil when memoization is disabled
-	batch    *batcher         // nil when coalescing is disabled
-	cells    *cellcache.Cache // nil when the cell cache is disabled
+	memo     *memoCache              // nil when memoization is disabled
+	stats    *experiments.StatsStore // layer statistics shared by /v1/model and /v1/cell
+	batch    *batcher                // nil when coalescing is disabled
+	cells    *cellcache.Cache        // nil when the cell cache is disabled
 	quota    *quotaTable
 	class    map[priorityClass]*classMetrics
 	fault    func(cell, attempt int) error
@@ -241,6 +246,7 @@ func New(cfg Config) *Server {
 		reg:     r,
 		adm:     newAdmission(cfg.MaxConcurrent, cfg.MaxQueue, cfg.BatchQueueShare),
 		brk:     newBreaker(cfg.BreakerThreshold, cfg.BreakerHardFactor, cfg.BreakerCooldown),
+		stats:   experiments.NewStatsStore(r, "server.stats"),
 		started: time.Now(),
 		ep:      map[string]*epMetrics{},
 		class:   map[priorityClass]*classMetrics{},
@@ -273,7 +279,7 @@ func New(cfg Config) *Server {
 		}
 	}
 	if cfg.CacheEntries > 0 {
-		s.memo = newMemoCache(cfg.CacheEntries, r)
+		s.memo = &memoCache{memo.New[memoizable](int64(cfg.CacheEntries), nil, r, "server.cache", "entries")}
 	}
 	if cfg.BatchWindow > 0 {
 		s.batch = newBatcher(cfg.BatchWindow, cfg.MaxBatch, s.runBatch, r)
@@ -585,45 +591,34 @@ func (s *Server) serveMemoized(w http.ResponseWriter, r *http.Request, ep string
 		return
 	}
 	start := time.Now()
-	if v, ok := s.memo.get(key); ok {
+	if v, ok := s.memo.Get(key); ok {
 		s.finish(w, ep, tc, start, v.memoClone(true))
 		return
 	}
-	fl, v, leader := s.memo.join(key)
-	if !leader {
-		if v != nil { // filled while we raced to join
-			s.finish(w, ep, tc, start, v.memoClone(true))
-			return
+	// The deadline bounds only a wait on another request's fill; the
+	// leader's own compute arms its deadline inside the envelope.
+	ctx, cancel := context.WithTimeout(r.Context(), s.resolveDeadline(deadlineMS))
+	defer cancel()
+	v, shared, err := s.memo.Do(ctx, key, func() (memoizable, error) {
+		res, aerr := s.compute(r, tc, deadlineMS, nil, work)
+		if aerr != nil {
+			return nil, aerr
 		}
-		deadline := time.NewTimer(s.resolveDeadline(deadlineMS))
-		defer deadline.Stop()
-		select {
-		case <-fl.done:
-			if fl.aerr != nil {
-				s.fail(w, ep, fl.aerr)
-				return
-			}
-			s.finish(w, ep, tc, start, fl.val.memoClone(true))
-		case <-deadline.C:
-			s.timeouts.Inc()
-			s.fail(w, ep, &apiError{Status: http.StatusGatewayTimeout, Msg: "deadline exceeded"})
-		case <-r.Context().Done():
-			s.fail(w, ep, &apiError{Status: http.StatusServiceUnavailable, Msg: "client went away", RetryAfter: 1})
-		}
+		return res.(memoizable).memoClone(false), nil
+	})
+	var aerr *apiError
+	switch {
+	case err == nil:
+		s.finish(w, ep, tc, start, v.memoClone(shared))
 		return
+	case errors.As(err, &aerr):
+	case errors.Is(err, context.DeadlineExceeded):
+		s.timeouts.Inc()
+		aerr = &apiError{Status: http.StatusGatewayTimeout, Msg: "deadline exceeded"}
+	default:
+		aerr = &apiError{Status: http.StatusServiceUnavailable, Msg: "client went away", RetryAfter: 1}
 	}
-	res, aerr := s.compute(r, tc, deadlineMS, nil, work)
-	if aerr != nil {
-		s.memo.complete(key, fl, nil, aerr)
-		s.fail(w, ep, aerr)
-		return
-	}
-	var pristine memoizable
-	if m, ok := res.(memoizable); ok {
-		pristine = m.memoClone(false)
-	}
-	s.memo.complete(key, fl, pristine, nil)
-	s.finish(w, ep, tc, start, res)
+	s.fail(w, ep, aerr)
 }
 
 // classify maps a runner failure to its HTTP shape: recovered panics are
