@@ -6,11 +6,12 @@
 //
 // The matrices themselves live in this package's tests (the cell cache's
 // entry framing, the experiment checkpoint journal) and in
-// internal/fleet's (the fleet journal, whose reader is unexported). They
+// internal/fleet's (the fleet journal, whose wrapper is unexported). They
 // are the executable form of the durability claims in ARCHITECTURE.md:
 // safeio.WriteFile's rename discipline means a torn temp file leaves the
-// old entry intact, and the crc-guarded journal line framing means a torn
-// tail line is skipped, not misparsed.
+// old entry intact, and the crc-guarded line framing of safeio.Log — the
+// one reader both journals share — means a torn tail line is skipped, not
+// misparsed.
 package crashmatrix
 
 import "fmt"

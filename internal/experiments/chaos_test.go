@@ -150,7 +150,7 @@ func TestChaosSIGKILLResume(t *testing.T) {
 			cmd.Wait()
 			t.Fatal("child never journaled 2 cells")
 		}
-		if countJournalCells(jpath) >= 2 {
+		if countJournalCells(jpath, chaosBench(1).Fingerprint()) >= 2 {
 			break
 		}
 		time.Sleep(10 * time.Millisecond)
@@ -179,20 +179,24 @@ func TestChaosSIGKILLResume(t *testing.T) {
 	}
 }
 
-// countJournalCells counts durable cell records without the Journal
-// machinery — the parent must read the file exactly as a cold resume would.
-func countJournalCells(path string) int {
+// countJournalCells counts the durable cells a cold resume would see, by
+// resuming a snapshot of the live file — the parent must read the file
+// exactly as a cold resume would, without touching the child's copy.
+func countJournalCells(path, fingerprint string) int {
 	data, err := os.ReadFile(path)
 	if err != nil {
 		return 0
 	}
-	n := 0
-	for _, line := range strings.Split(string(data), "\n") {
-		if rec, ok := decodeLine(line); ok && rec.Kind == "cell" {
-			n++
-		}
+	snap := path + ".snapshot"
+	if err := os.WriteFile(snap, data, 0o644); err != nil {
+		return 0
 	}
-	return n
+	j, err := OpenJournal(snap, "chaos-test", fingerprint, true)
+	if err != nil {
+		return 0
+	}
+	defer j.Close()
+	return j.Cells()
 }
 
 // TestChaosCorruptRecordSkipped flips a byte inside a journaled cell record:

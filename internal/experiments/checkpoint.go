@@ -1,13 +1,9 @@
 package experiments
 
 import (
-	"bufio"
 	"encoding/json"
 	"errors"
 	"fmt"
-	"hash/crc32"
-	"os"
-	"sync"
 
 	"ristretto/internal/safeio"
 )
@@ -16,159 +12,32 @@ import (
 // change.
 const CheckpointSchema = "ristretto.checkpoint/v1"
 
-// journalLine is one record of the checkpoint file. The file is plain text,
-// one record per line: an 8-hex-digit IEEE crc32 of the JSON body, a space,
-// then the body itself. The first record is a header carrying the schema,
-// the writing tool and the workload fingerprint; every later record is a
-// completed cell keyed by a stable string with an opaque JSON payload.
-type journalLine struct {
-	Kind        string          `json:"kind"` // "header" or "cell"
-	Schema      string          `json:"schema,omitempty"`
-	Tool        string          `json:"tool,omitempty"`
-	Fingerprint string          `json:"fingerprint,omitempty"`
-	Cell        string          `json:"cell,omitempty"`
-	Payload     json.RawMessage `json:"payload,omitempty"`
-}
-
-// Journal is an append-only, crc-guarded checkpoint file recording completed
-// sweep cells. Appends go through safeio.Appender — flushed and fsynced per
-// record — so a SIGKILL between records loses at most the record being
-// written, and a torn final line fails its crc and is skipped on resume
-// instead of poisoning the run. All file access goes through the journal's
-// safeio.FS, so the disk-fault injector can sit underneath it.
-type Journal struct {
-	mu      sync.Mutex
-	ap      *safeio.Appender
-	fsys    safeio.FS
-	path    string
-	done    map[string]json.RawMessage
-	resumed bool
-	corrupt int
-	closed  bool
-}
+// Journal is an append-only checkpoint file recording completed sweep
+// cells: a safeio.Log whose header carries the schema, the writing tool and
+// the workload fingerprint, and whose every later record is a completed
+// cell keyed by a stable string with an opaque JSON payload. Each record is
+// fsynced when Append returns, so a SIGKILL between records loses at most
+// the record being written, and a torn final line fails its crc and is
+// skipped on resume instead of poisoning the run.
+type Journal struct{ log *safeio.Log }
 
 // OpenJournal opens (or creates) the checkpoint file at path for the given
 // tool and workload fingerprint. With resume false any existing file is
 // truncated and a fresh header written. With resume true an existing file is
 // validated — schema, tool and fingerprint must match or an error tells the
 // user to rerun without -resume — and its valid cell records become
-// available through Lookup; corrupt or truncated lines are skipped and
-// counted. A missing file with resume true degrades to a fresh journal.
+// available through Lookup, a later record of a cell superseding an earlier
+// one; corrupt or truncated lines are skipped and counted. A missing file
+// with resume true degrades to a fresh journal.
 func OpenJournal(path, tool, fingerprint string, resume bool) (*Journal, error) {
-	return OpenJournalFS(safeio.OS, path, tool, fingerprint, resume)
-}
-
-// OpenJournalFS is OpenJournal through an explicit filesystem (nil = the
-// real one) — the seam the crash-consistency matrix and the disk-fault
-// injector use.
-func OpenJournalFS(fsys safeio.FS, path, tool, fingerprint string, resume bool) (*Journal, error) {
-	if fsys == nil {
-		fsys = safeio.OS
-	}
-	j := &Journal{fsys: fsys, path: path, done: map[string]json.RawMessage{}}
-	if resume {
-		if err := j.load(tool, fingerprint); err != nil {
-			return nil, err
-		}
-	}
-	ap, err := safeio.OpenAppenderFS(fsys, path, !j.resumed)
+	hdr := safeio.Record{Kind: "header", Schema: CheckpointSchema, Tool: tool, Fingerprint: fingerprint}
+	l, err := safeio.OpenLog(nil, path, hdr, resume, func(rec safeio.Record) (keep, ok bool) {
+		return rec.Kind == "cell", rec.Kind == "cell"
+	})
 	if err != nil {
-		return nil, err
+		return nil, fmt.Errorf("experiments: checkpoint: %w", err)
 	}
-	j.ap = ap
-	if !j.resumed {
-		hdr := journalLine{Kind: "header", Schema: CheckpointSchema, Tool: tool, Fingerprint: fingerprint}
-		if err := j.append(hdr); err != nil {
-			ap.Close()
-			return nil, err
-		}
-	}
-	return j, nil
-}
-
-// load reads and validates an existing journal for resume.
-func (j *Journal) load(tool, fingerprint string) error {
-	f, err := j.fsys.Open(j.path)
-	if errors.Is(err, os.ErrNotExist) {
-		return nil // nothing to resume; start fresh
-	}
-	if err != nil {
-		return err
-	}
-	defer f.Close()
-	sc := bufio.NewScanner(f)
-	sc.Buffer(make([]byte, 0, 1<<20), 16<<20)
-	sawHeader := false
-	for sc.Scan() {
-		line := sc.Text()
-		rec, ok := decodeLine(line)
-		if !ok {
-			j.corrupt++
-			continue
-		}
-		switch rec.Kind {
-		case "header":
-			if rec.Schema != CheckpointSchema {
-				return fmt.Errorf("experiments: checkpoint %s has schema %q, want %q — rerun without -resume", j.path, rec.Schema, CheckpointSchema)
-			}
-			if rec.Tool != tool {
-				return fmt.Errorf("experiments: checkpoint %s was written by %q, not %q — rerun without -resume", j.path, rec.Tool, tool)
-			}
-			if rec.Fingerprint != fingerprint {
-				return fmt.Errorf("experiments: checkpoint %s fingerprint %q does not match this run (%q) — rerun without -resume", j.path, rec.Fingerprint, fingerprint)
-			}
-			sawHeader = true
-		case "cell":
-			// Later valid duplicates win: a cell re-journaled after a
-			// partially-applied resume supersedes the earlier record.
-			j.done[rec.Cell] = rec.Payload
-		default:
-			j.corrupt++
-		}
-	}
-	if err := sc.Err(); err != nil {
-		return fmt.Errorf("experiments: reading checkpoint %s: %w", j.path, err)
-	}
-	if !sawHeader {
-		if len(j.done) > 0 {
-			return fmt.Errorf("experiments: checkpoint %s has cells but no valid header — rerun without -resume", j.path)
-		}
-		return nil // empty or fully corrupt file: start fresh
-	}
-	j.resumed = true
-	return nil
-}
-
-// decodeLine parses one "crc json" line, rejecting torn or bit-flipped
-// records.
-func decodeLine(line string) (journalLine, bool) {
-	var rec journalLine
-	if len(line) < 10 || line[8] != ' ' {
-		return rec, false
-	}
-	var sum uint32
-	if _, err := fmt.Sscanf(line[:8], "%08x", &sum); err != nil {
-		return rec, false
-	}
-	body := line[9:]
-	if crc32.ChecksumIEEE([]byte(body)) != sum {
-		return rec, false
-	}
-	if err := json.Unmarshal([]byte(body), &rec); err != nil {
-		return rec, false
-	}
-	return rec, true
-}
-
-// append encodes and durably writes one record (flush + fsync via the
-// Appender).
-func (j *Journal) append(rec journalLine) error {
-	body, err := json.Marshal(rec)
-	if err != nil {
-		return err
-	}
-	line := fmt.Appendf(nil, "%08x %s\n", crc32.ChecksumIEEE(body), body)
-	return j.ap.Append(line)
+	return &Journal{log: l}, nil
 }
 
 // Append journals a completed cell under its stable key. The payload is
@@ -178,55 +47,29 @@ func (j *Journal) Append(cell string, payload any) error {
 	if err != nil {
 		return err
 	}
-	j.mu.Lock()
-	defer j.mu.Unlock()
-	if j.closed {
-		return errors.New("experiments: journal closed")
-	}
-	if err := j.append(journalLine{Kind: "cell", Cell: cell, Payload: raw}); err != nil {
-		return err
-	}
-	j.done[cell] = raw
-	return nil
+	return j.log.Append(safeio.Record{Kind: "cell", Cell: cell, Payload: raw}, true)
 }
 
 // Lookup returns the journaled payload for a cell key, if present.
 func (j *Journal) Lookup(cell string) (json.RawMessage, bool) {
-	j.mu.Lock()
-	defer j.mu.Unlock()
-	raw, ok := j.done[cell]
-	return raw, ok
+	rec, ok := j.log.Lookup(cell)
+	return rec.Payload, ok
 }
 
 // Resumable reports whether the journal was loaded from an existing,
 // header-valid file (i.e. this run is a resume).
-func (j *Journal) Resumable() bool { return j.resumed }
+func (j *Journal) Resumable() bool { return j.log.Resumed() }
 
 // Cells reports how many distinct completed cells the journal holds.
-func (j *Journal) Cells() int {
-	j.mu.Lock()
-	defer j.mu.Unlock()
-	return len(j.done)
-}
+func (j *Journal) Cells() int { return j.log.Cells() }
 
 // CorruptRecords reports how many lines were skipped as torn or corrupt
 // while loading.
-func (j *Journal) CorruptRecords() int { return j.corrupt }
-
-// Path returns the journal file path.
-func (j *Journal) Path() string { return j.path }
+func (j *Journal) CorruptRecords() int { return j.log.Corrupt() }
 
 // Close flushes and closes the journal file. Records appended before Close
 // are already durable; Close exists to release the descriptor.
-func (j *Journal) Close() error {
-	j.mu.Lock()
-	defer j.mu.Unlock()
-	if j.closed {
-		return nil
-	}
-	j.closed = true
-	return j.ap.Close()
-}
+func (j *Journal) Close() error { return j.log.Close() }
 
 // resultJSON is the journal payload for a []*Result job: the Result struct
 // with its error flattened to a string so it round-trips through JSON and

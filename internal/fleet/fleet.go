@@ -322,7 +322,7 @@ func Run(ctx context.Context, cfg Config) ([]*experiments.Result, Report, error)
 		defer j.close()
 		if j.resumable() {
 			cfg.Logf("fleet: resuming from %s (%d verified completions, %d corrupt records skipped)",
-				cfg.JournalPath, len(j.done), j.corruptRecords())
+				cfg.JournalPath, j.log.Cells(), j.corruptRecords())
 		}
 	}
 

@@ -12,6 +12,7 @@ import (
 
 	"ristretto/internal/experiments"
 	"ristretto/internal/faultinject"
+	"ristretto/internal/safeio"
 	"ristretto/internal/server"
 )
 
@@ -285,8 +286,8 @@ func TestFleetJournalPartialResume(t *testing.T) {
 	}
 	kept, completes := []string{}, 0
 	for _, line := range data {
-		rec, ok := decodeJournalLine(line)
-		if !ok {
+		var rec safeio.Record
+		if len(line) < 9 || json.Unmarshal([]byte(line[9:]), &rec) != nil {
 			continue
 		}
 		if rec.Kind == "complete" {

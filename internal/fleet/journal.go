@@ -1,9 +1,9 @@
 package fleet
 
 // Coordinator crash-resume: the fleet journals assignment and completion
-// state through a crc-guarded append-only file (the checkpoint journal's
-// discipline, fsynced per record via safeio.Appender), so a coordinator
-// SIGKILLed mid-sweep resumes without re-dispatching completed cells.
+// state through a safeio.Log (the crc-framed, fsynced record log the
+// checkpoint journal is built on too), so a coordinator SIGKILLed
+// mid-sweep resumes without re-dispatching completed cells.
 // Completion records carry the cell's payload bytes AND its
 // fingerprint-bound digest: resume re-verifies every record end to end,
 // so a journal corrupted on disk degrades to recomputing the affected
@@ -12,13 +12,8 @@ package fleet
 // resumes correctly even with the cell cache disabled or wiped.
 
 import (
-	"bufio"
 	"encoding/json"
-	"errors"
 	"fmt"
-	"hash/crc32"
-	"os"
-	"sync"
 
 	"ristretto/internal/experiments"
 	"ristretto/internal/safeio"
@@ -33,42 +28,14 @@ const JournalSchema = "ristretto.fleet-journal/v1"
 // and an experiment checkpoint can never be confused for one another.
 const journalTool = "ristretto-fleet"
 
-// journalRec is one line of the journal: an 8-hex-digit IEEE crc32 of the
-// JSON body, a space, then the body. Kinds: "header" (schema, tool,
-// workload fingerprint), "assign" (cell handed to a worker — audit trail,
-// ignored on resume), "complete" (cell finished, with its payload and
-// fingerprint-bound digest).
-type journalRec struct {
-	Kind        string          `json:"kind"`
-	Schema      string          `json:"schema,omitempty"`
-	Tool        string          `json:"tool,omitempty"`
-	Fingerprint string          `json:"fingerprint,omitempty"` // header: workload; complete: cell
-	Cell        string          `json:"cell,omitempty"`
-	Worker      int             `json:"worker,omitempty"`
-	Digest      string          `json:"digest,omitempty"`
-	Payload     json.RawMessage `json:"payload,omitempty"`
-}
-
-// journalCell is one resumable completion: the cell's fingerprint and the
-// verified payload bytes.
-type journalCell struct {
-	fp      string
-	payload json.RawMessage
-}
-
-// journal is the coordinator's crash-resume record. Safe for concurrent
-// use by the worker loops.
+// journal is the coordinator's crash-resume record: a safeio.Log whose
+// records after the header are "assign" (cell handed to a worker — audit
+// trail, ignored on resume) and "complete" (cell finished, with its
+// payload and fingerprint-bound digest). Safe for concurrent use by the
+// worker loops.
 type journal struct {
-	ap *safeio.Appender
-
-	mu      sync.Mutex
-	done    map[string]journalCell
-	resumed bool
-	corrupt int
-
-	records  *telemetry.Counter
-	loaded   *telemetry.Counter
-	corruptC *telemetry.Counter
+	log     *safeio.Log
+	records *telemetry.Counter
 }
 
 // openJournal opens (or creates) the journal at path for a sweep whose
@@ -79,129 +46,40 @@ type journal struct {
 // completion becomes available through lookup; torn, corrupt or
 // digest-mismatched records are skipped and counted, never served.
 func openJournal(fsys safeio.FS, path, benchFP string, resume bool, r *telemetry.Registry) (*journal, error) {
-	if fsys == nil {
-		fsys = safeio.OS
-	}
-	j := &journal{
-		done:     map[string]journalCell{},
-		records:  r.Counter("fleet.journal.records"),
-		loaded:   r.Counter("fleet.journal.resumed_cells"),
-		corruptC: r.Counter("fleet.journal.corrupt"),
-	}
-	if resume {
-		if err := j.load(fsys, path, benchFP); err != nil {
-			return nil, err
+	resumed, corrupt := r.Counter("fleet.journal.resumed_cells"), r.Counter("fleet.journal.corrupt")
+	hdr := safeio.Record{Kind: "header", Schema: JournalSchema, Tool: journalTool, Fingerprint: benchFP}
+	l, err := safeio.OpenLog(fsys, path, hdr, resume, func(rec safeio.Record) (keep, ok bool) {
+		switch rec.Kind {
+		case "assign":
+			// Audit trail only: an assignment without a completion means
+			// the cell was in flight at the kill and must be re-dispatched.
+			return false, true
+		case "complete":
+			// End-to-end verification against the record's own
+			// fingerprint: the crc catches torn lines, the digest catches
+			// everything else (a record spliced from another journal, a
+			// corrupted payload with a recomputed crc).
+			ok := rec.Digest == experiments.CellPayloadDigest(rec.Fingerprint, rec.Payload)
+			return ok, ok
 		}
-	}
-	ap, err := safeio.OpenAppenderFS(fsys, path, !j.resumed)
+		return false, false
+	})
 	if err != nil {
-		return nil, err
+		return nil, fmt.Errorf("fleet: journal: %w", err)
 	}
-	j.ap = ap
-	if !j.resumed {
-		hdr := journalRec{Kind: "header", Schema: JournalSchema, Tool: journalTool, Fingerprint: benchFP}
-		if err := j.append(hdr); err != nil {
-			ap.Close()
-			return nil, err
-		}
+	j := &journal{log: l, records: r.Counter("fleet.journal.records")}
+	if l.Resumed() {
+		resumed.Add(int64(l.Cells()))
+		corrupt.Add(int64(l.Corrupt()))
+	} else {
+		j.records.Inc() // the header
 	}
 	return j, nil
 }
 
-// load reads and validates an existing journal for resume. A missing file
-// degrades to a fresh journal.
-func (j *journal) load(fsys safeio.FS, path, benchFP string) error {
-	f, err := fsys.Open(path)
-	if errors.Is(err, os.ErrNotExist) {
-		return nil
-	}
-	if err != nil {
-		return err
-	}
-	defer f.Close()
-	sc := bufio.NewScanner(f)
-	sc.Buffer(make([]byte, 0, 1<<20), 16<<20)
-	sawHeader := false
-	for sc.Scan() {
-		rec, ok := decodeJournalLine(sc.Text())
-		if !ok {
-			j.corrupt++
-			continue
-		}
-		switch rec.Kind {
-		case "header":
-			if rec.Schema != JournalSchema {
-				return fmt.Errorf("fleet: journal %s has schema %q, want %q — rerun without -resume", path, rec.Schema, JournalSchema)
-			}
-			if rec.Tool != journalTool {
-				return fmt.Errorf("fleet: journal %s was written by %q, not %q — rerun without -resume", path, rec.Tool, journalTool)
-			}
-			if rec.Fingerprint != benchFP {
-				return fmt.Errorf("fleet: journal %s fingerprint %q does not match this sweep (%q) — rerun without -resume", path, rec.Fingerprint, benchFP)
-			}
-			sawHeader = true
-		case "assign":
-			// Audit trail only: an assignment without a completion means the
-			// cell was in flight at the kill and must be re-dispatched.
-		case "complete":
-			// End-to-end verification against the record's own fingerprint:
-			// the crc catches torn lines, the digest catches everything else
-			// (a record spliced from another journal, a corrupted payload
-			// with a recomputed crc).
-			if rec.Digest != experiments.CellPayloadDigest(rec.Fingerprint, rec.Payload) {
-				j.corrupt++
-				continue
-			}
-			// Later valid duplicates win, like the checkpoint journal.
-			j.done[rec.Cell] = journalCell{fp: rec.Fingerprint, payload: rec.Payload}
-		default:
-			j.corrupt++
-		}
-	}
-	if err := sc.Err(); err != nil {
-		return fmt.Errorf("fleet: reading journal %s: %w", path, err)
-	}
-	if !sawHeader {
-		if len(j.done) > 0 {
-			return fmt.Errorf("fleet: journal %s has completions but no valid header — rerun without -resume", path)
-		}
-		return nil // empty or fully corrupt: start fresh
-	}
-	j.resumed = true
-	j.loaded.Add(int64(len(j.done)))
-	j.corruptC.Add(int64(j.corrupt))
-	return nil
-}
-
-// decodeJournalLine parses one "crc json" line, rejecting torn or
-// bit-flipped records.
-func decodeJournalLine(line string) (journalRec, bool) {
-	var rec journalRec
-	if len(line) < 10 || line[8] != ' ' {
-		return rec, false
-	}
-	var sum uint32
-	if _, err := fmt.Sscanf(line[:8], "%08x", &sum); err != nil {
-		return rec, false
-	}
-	body := line[9:]
-	if crc32.ChecksumIEEE([]byte(body)) != sum {
-		return rec, false
-	}
-	if err := json.Unmarshal([]byte(body), &rec); err != nil {
-		return rec, false
-	}
-	return rec, true
-}
-
-// append encodes and durably writes one record.
-func (j *journal) append(rec journalRec) error {
-	body, err := json.Marshal(rec)
-	if err != nil {
-		return err
-	}
-	line := fmt.Appendf(nil, "%08x %s\n", crc32.ChecksumIEEE(body), body)
-	if err := j.ap.Append(line); err != nil {
+// append durably writes one record.
+func (j *journal) append(rec safeio.Record, keep bool) error {
+	if err := j.log.Append(rec, keep); err != nil {
 		return err
 	}
 	j.records.Inc()
@@ -211,40 +89,32 @@ func (j *journal) append(rec journalRec) error {
 // assign journals a dispatch intent. Best effort: the record is an audit
 // trail, not resume state, so a failed append degrades to a log line.
 func (j *journal) assign(cell string, worker int) error {
-	return j.append(journalRec{Kind: "assign", Cell: cell, Worker: worker})
+	return j.append(safeio.Record{Kind: "assign", Cell: cell, Worker: worker}, false)
 }
 
 // complete journals a finished cell with its verified payload. The record
 // is durable when complete returns — the cell will not be re-dispatched
 // by a resumed coordinator.
 func (j *journal) complete(cell, cellFP string, payload json.RawMessage) error {
-	if err := j.append(journalRec{
+	return j.append(safeio.Record{
 		Kind: "complete", Cell: cell, Fingerprint: cellFP,
 		Digest: experiments.CellPayloadDigest(cellFP, payload), Payload: payload,
-	}); err != nil {
-		return err
-	}
-	j.mu.Lock()
-	j.done[cell] = journalCell{fp: cellFP, payload: payload}
-	j.mu.Unlock()
-	return nil
+	}, true)
 }
 
 // lookup returns the journaled fingerprint and payload for a cell, if a
-// verified completion exists.
+// verified completion exists (the latest one, when it completed twice).
 func (j *journal) lookup(cell string) (fp string, payload json.RawMessage, ok bool) {
-	j.mu.Lock()
-	defer j.mu.Unlock()
-	jc, ok := j.done[cell]
-	return jc.fp, jc.payload, ok
+	rec, ok := j.log.Lookup(cell)
+	return rec.Fingerprint, rec.Payload, ok
 }
 
 // resumable reports whether the journal was loaded from an existing,
 // header-valid file.
-func (j *journal) resumable() bool { return j.resumed }
+func (j *journal) resumable() bool { return j.log.Resumed() }
 
 // corruptRecords reports how many lines were skipped while loading.
-func (j *journal) corruptRecords() int { return j.corrupt }
+func (j *journal) corruptRecords() int { return j.log.Corrupt() }
 
 // close releases the journal file descriptor.
-func (j *journal) close() error { return j.ap.Close() }
+func (j *journal) close() error { return j.log.Close() }

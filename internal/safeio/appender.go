@@ -11,9 +11,8 @@ import (
 // Appender is the append-side companion to WriteFile: an open journal file
 // whose every Append is flushed and fsynced before returning, so a process
 // killed between appends loses at most the record being written. Torn
-// trailing records are the reader's problem by design — journal formats
-// layered on top (the experiment checkpoint, the fleet journal) guard each
-// record with a CRC and skip what does not verify.
+// trailing records are the reader's problem by design — Log, layered on
+// top, guards each record with a CRC and skips what does not verify.
 //
 // Appender is safe for concurrent use; records from concurrent Appends
 // never interleave.

@@ -2,8 +2,10 @@
 // file in the destination directory, is flushed and fsynced, and only then
 // renamed over the target. A process killed mid-write (the chaos tests do
 // exactly this) leaves either the old file or the new one — never a
-// truncated hybrid. Manifest, checkpoint and tensor (.rstt) writers all go
-// through here.
+// truncated hybrid. Manifest and tensor (.rstt) writers all go through
+// here. Journals append instead: Appender fsyncs every record, and Log
+// (log.go) is the one CRC-framed record log that both the experiment
+// checkpoint and the fleet journal are built on.
 //
 // Every disk operation goes through the FS seam (see fs.go): the default
 // is the OS passthrough, and internal/faultinject supplies a
