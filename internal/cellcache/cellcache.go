@@ -18,9 +18,11 @@
 //     recomputed, never served;
 //   - writes are crash-safe through safeio (temp file + fsync + rename),
 //     so a SIGKILL mid-write leaves the old entry or none, never a hybrid;
-//   - concurrent requests for the same fingerprint singleflight through Do:
-//     one leader computes while waiters block on the in-flight result, and
-//     errors are never cached;
+//   - concurrent requests for the same fingerprint singleflight through Do,
+//     on an internal/memo cache with a zero budget (payloads live on disk,
+//     so it holds only the fills in progress): one leader computes while
+//     waiters block on the in-flight result, and neither errors nor panics
+//     are ever cached;
 //   - the store is append-only content addressing — a fingerprint's bytes
 //     never change once written, so hits are byte-identical to the
 //     computation that produced them (the cache correctness tests enforce
@@ -50,6 +52,7 @@ package cellcache
 
 import (
 	"bytes"
+	"context"
 	"errors"
 	"fmt"
 	"hash/crc32"
@@ -60,6 +63,7 @@ import (
 	"sync"
 
 	"ristretto/internal/experiments"
+	"ristretto/internal/memo"
 	"ristretto/internal/safeio"
 	"ristretto/internal/telemetry"
 )
@@ -94,15 +98,6 @@ type Options struct {
 	WriteFailLimit int
 }
 
-// flight is one in-progress fill: waiters block on done; val/err are set
-// before done closes. Errors are never cached — the flight is how waiters
-// learn about them.
-type flight struct {
-	done chan struct{}
-	val  []byte
-	err  error
-}
-
 // entry is the in-memory accounting for one on-disk file: its size and the
 // second-chance reference bit (set on every hit, cleared by the sweeping
 // clock hand; an entry the hand finds cleared is evicted).
@@ -122,8 +117,7 @@ type Cache struct {
 	dir  string
 	fsys safeio.FS
 
-	mu      sync.Mutex
-	flights map[string]*flight
+	fills *memo.Cache[[]byte] // Do's singleflight; zero budget, so only fills in progress
 
 	// emu guards the capacity/eviction state and the degraded flag.
 	emu         sync.Mutex
@@ -178,7 +172,7 @@ func OpenWith(dir string, r *telemetry.Registry, opts Options) (*Cache, error) {
 	c := &Cache{
 		dir:         dir,
 		fsys:        fsys,
-		flights:     map[string]*flight{},
+		fills:       memo.New[[]byte](0, nil, nil, "", ""),
 		entries:     map[string]*entry{},
 		maxBytes:    opts.MaxBytes,
 		failLimit:   failLimit,
@@ -308,36 +302,28 @@ func (c *Cache) write(fp string, data []byte) error {
 // publishes it to every concurrent caller of the same fingerprint
 // (hit=false for all of them — exactly one compute ran). A failed compute
 // is returned to the whole flight and nothing is cached, so the next
-// request elects a fresh leader.
+// request elects a fresh leader; a panicking compute makes every waiter
+// panic with the same value, and the next request computes again.
 func (c *Cache) Do(fp string, compute func() ([]byte, error)) (payload []byte, hit bool, err error) {
 	if v, ok := c.Get(fp); ok {
 		return v, true, nil
 	}
-	c.mu.Lock()
-	if fl, ok := c.flights[fp]; ok {
+	v, shared, err := c.fills.Do(context.TODO(), fp, func() ([]byte, error) {
+		v, err := compute()
+		if err == nil {
+			// A failed write degrades to uncached: the result is still
+			// correct and still published to waiters, it just won't be a
+			// hit next time. Put itself tallies the failure under
+			// fleet.cache.write_errors and trips the read-only
+			// degradation, so nothing is silent.
+			_ = c.Put(fp, v)
+		}
+		return v, err
+	})
+	if shared { // the store never holds a value, so shared means a joined fill
 		c.dedup.Inc()
-		c.mu.Unlock()
-		<-fl.done
-		return fl.val, false, fl.err
 	}
-	fl := &flight{done: make(chan struct{})}
-	c.flights[fp] = fl
-	c.mu.Unlock()
-
-	v, cerr := compute()
-	if cerr == nil {
-		// A failed write degrades to uncached: the result is still correct
-		// and still published to waiters, it just won't be a hit next time.
-		// Put itself tallies the failure under fleet.cache.write_errors and
-		// trips the read-only degradation, so nothing is silent.
-		_ = c.Put(fp, v)
-	}
-	c.mu.Lock()
-	fl.val, fl.err = v, cerr
-	delete(c.flights, fp)
-	c.mu.Unlock()
-	close(fl.done)
-	return v, false, cerr
+	return v, false, err
 }
 
 // Len walks the store and counts valid-looking entries — an O(entries)

@@ -9,6 +9,7 @@ import (
 	"sync"
 	"sync/atomic"
 	"testing"
+	"time"
 
 	"ristretto/internal/telemetry"
 )
@@ -225,6 +226,65 @@ func TestErrorsNeverCached(t *testing.T) {
 	v, hit, err := c.Do(fpA, func() ([]byte, error) { return []byte("ok now"), nil })
 	if err != nil || hit || string(v) != "ok now" {
 		t.Fatalf("retry after failure = (%q, %v, %v)", v, hit, err)
+	}
+}
+
+// TestPanickingComputeDoesNotWedge: a compute that panics must release its
+// fingerprint. A caller waiting on that fill panics with the same value
+// (or, arriving after it, computes and panics alike), and the next Do
+// computes again and caches. A fingerprint wedged by a dead fill would
+// block forever, so the whole sequence runs under a deadline.
+func TestPanickingComputeDoesNotWedge(t *testing.T) {
+	c, _ := newCache(t)
+	const boom = "compute exploded"
+	explode := func() ([]byte, error) { panic(boom) }
+	recovered := func(do func()) (v any) {
+		defer func() { v = recover() }()
+		do()
+		return nil
+	}
+
+	done := make(chan error, 1)
+	go func() {
+		entered, release := make(chan struct{}), make(chan struct{})
+		leader := make(chan any, 1)
+		go func() {
+			leader <- recovered(func() {
+				c.Do(fpA, func() ([]byte, error) {
+					close(entered)
+					<-release
+					return explode()
+				})
+			})
+		}()
+		<-entered
+		waiter := make(chan any, 1)
+		go func() { waiter <- recovered(func() { c.Do(fpA, explode) }) }()
+		close(release)
+		for name, ch := range map[string]chan any{"leader": leader, "waiter": waiter} {
+			if v := <-ch; v != boom {
+				done <- fmt.Errorf("%s recovered %v, want %q", name, v, boom)
+				return
+			}
+		}
+		v, hit, err := c.Do(fpA, func() ([]byte, error) { return []byte("recomputed"), nil })
+		if err != nil || hit || string(v) != "recomputed" {
+			done <- fmt.Errorf("Do after the panic = (%q, %v, %v), want a fresh compute", v, hit, err)
+			return
+		}
+		if v, ok := c.Get(fpA); !ok || string(v) != "recomputed" {
+			done <- fmt.Errorf("recomputed payload not cached: (%q, %v)", v, ok)
+			return
+		}
+		done <- nil
+	}()
+	select {
+	case err := <-done:
+		if err != nil {
+			t.Fatal(err)
+		}
+	case <-time.After(10 * time.Second):
+		t.Fatal("fingerprint wedged: a Do after a panicking compute never returned")
 	}
 }
 

@@ -6,7 +6,9 @@
 // ristretto-serve builds both of its stores on it: the /v1/model +
 // /v1/quant response memo (each response costs one) and the layer
 // statistics shared by /v1/model and /v1/cell (each value costs its bytes).
-// Every experiments.Bench reads its statistics through one.
+// Every experiments.Bench reads its statistics through one, and
+// cellcache.Do singleflights its fills through one with a zero budget
+// (its payloads live on disk, so that cache holds only fills in progress).
 //
 // A fill that returns an error or panics stores nothing. The callers
 // waiting on it get the same error, or panic with the same value, and the
