@@ -1,8 +1,9 @@
 package server
 
 // This file holds the serving-scale memoization layer: a content-keyed
-// LRU + singleflight cache over the pure-function endpoints (/v1/model and
-// /v1/quant are deterministic functions of their canonicalized request).
+// LRU + singleflight cache (Server.memo, an internal/memo cache) over the
+// pure-function endpoints (/v1/model and /v1/quant are deterministic
+// functions of their canonicalized request).
 // A hit bypasses the entire compute envelope — no admission slot, no
 // queue, no engine — and is served in microseconds from the stored
 // response; a miss elects exactly one leader to compute while concurrent
@@ -14,8 +15,6 @@ package server
 // byte-identical to cold-path payloads modulo the two documented volatile
 // envelope fields (cached, elapsed_ms) — enforced by TestMemoBitExact.
 
-import "ristretto/internal/memo"
-
 // memoizable is implemented by response types the cache can store: Clone
 // returns a shallow copy safe to stamp per-request envelope fields on
 // without mutating the cached original. Payload fields are never mutated
@@ -23,11 +22,3 @@ import "ristretto/internal/memo"
 type memoizable interface {
 	memoClone(cached bool) memoizable
 }
-
-// memoCache is the response memo: the shared LRU + singleflight helper,
-// holding up to Config.CacheEntries responses and reporting under the
-// server.cache.* names.
-type memoCache struct{ *memo.Cache[memoizable] }
-
-// len reports the current entry count.
-func (c *memoCache) len() int { return c.Len() }

@@ -144,7 +144,7 @@ func TestMemoLRUEviction(t *testing.T) {
 	if ev := snap.Counters["server.cache.evictions"]; ev < 1 {
 		t.Fatalf("evictions = %d, want >= 1", ev)
 	}
-	if n := s.memo.len(); n > 2 {
+	if n := s.memo.Len(); n > 2 {
 		t.Fatalf("cache holds %d entries, capacity 2", n)
 	}
 }

@@ -213,7 +213,7 @@ type Server struct {
 	reg      *telemetry.Registry
 	adm      *admission
 	brk      *breaker
-	memo     *memoCache              // nil when memoization is disabled
+	memo     *memo.Cache[memoizable] // response memo (server.cache.*); nil when memoization is disabled
 	stats    *experiments.StatsStore // layer statistics shared by /v1/model and /v1/cell
 	batch    *batcher                // nil when coalescing is disabled
 	cells    *cellcache.Cache        // nil when the cell cache is disabled
@@ -279,7 +279,7 @@ func New(cfg Config) *Server {
 		}
 	}
 	if cfg.CacheEntries > 0 {
-		s.memo = &memoCache{memo.New[memoizable](int64(cfg.CacheEntries), nil, r, "server.cache", "entries")}
+		s.memo = memo.New[memoizable](int64(cfg.CacheEntries), nil, r, "server.cache", "entries")
 	}
 	if cfg.BatchWindow > 0 {
 		s.batch = newBatcher(cfg.BatchWindow, cfg.MaxBatch, s.runBatch, r)
@@ -354,7 +354,7 @@ type MetricsResponse struct {
 func (s *Server) handleMetrics(w http.ResponseWriter, r *http.Request) {
 	var cacheLen int64
 	if s.memo != nil {
-		cacheLen = int64(s.memo.len())
+		cacheLen = int64(s.memo.Len())
 	}
 	s.tenants.Set(s.quota.tracked())
 	writeJSON(w, http.StatusOK, MetricsResponse{
