@@ -79,7 +79,7 @@ func (c *coord) runCell(ctx context.Context, w int, cell string) attemptResult {
 			if launched {
 				continue
 			}
-			v := c.queue.shortestAlive(w)
+			v := c.queue.peer(w)
 			if v < 0 {
 				continue // no second worker; keep waiting on the primary
 			}

@@ -103,7 +103,7 @@ func (c *coord) audit(ctx context.Context, cell string, out *CellOutcome, payloa
 
 	// Prefer an independent second worker; fall back to local compute.
 	var second *attemptResult
-	if v := c.queue.shortestAlive(out.Worker); v >= 0 {
+	if v := c.queue.peer(out.Worker); v >= 0 {
 		a := c.attempt(ctx, v, cell)
 		second = &a
 		if a.kind == attemptOK && bytes.Equal(a.payload, payload) {

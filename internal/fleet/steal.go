@@ -133,8 +133,17 @@ func (q *stealQueue) reassign(cell string, from int) {
 	q.cond.Broadcast()
 }
 
+// peer returns the live worker other than exclude with the shortest
+// deque, or -1 when none is left: the target of a hedge or an audit. It
+// takes the lock, so it is safe beside the worker loops.
+func (q *stealQueue) peer(exclude int) int {
+	q.mu.Lock()
+	defer q.mu.Unlock()
+	return q.shortestAlive(exclude)
+}
+
 // shortestAlive returns the live worker (other than `exclude`) with the
-// shortest deque, or -1 when none is left.
+// shortest deque, or -1 when none is left. The caller holds q.mu.
 func (q *stealQueue) shortestAlive(exclude int) int {
 	best, bestLen := -1, int(^uint(0)>>1)
 	for v := range q.deques {
