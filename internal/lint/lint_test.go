@@ -120,13 +120,13 @@ func exportedReceiver(fd *ast.FuncDecl) bool {
 // TestExportedDocComments requires doc comments on every exported
 // identifier of the packages that promise full godoc: internal/telemetry,
 // internal/runner, internal/ristretto, internal/server, internal/loadtest,
-// internal/accel and internal/memo.
+// internal/accel, internal/memo and internal/safeio.
 func TestExportedDocComments(t *testing.T) {
 	root := repoRoot(t)
 	for _, pkg := range []string{
 		"internal/telemetry", "internal/runner", "internal/ristretto",
 		"internal/server", "internal/loadtest", "internal/accel",
-		"internal/memo",
+		"internal/memo", "internal/safeio",
 	} {
 		fset, files := parseDir(t, filepath.Join(root, pkg))
 		for _, f := range files {
@@ -168,6 +168,33 @@ func TestExportedDocComments(t *testing.T) {
 							}
 						}
 					}
+				}
+			}
+		}
+	}
+}
+
+// TestOneRecordFraming keeps checksummed on-disk framing in the three
+// packages that own a distinct format: internal/safeio (the record log
+// under the checkpoint and the fleet journal), internal/cellcache (cache
+// entries) and internal/modelio (.rstt tensors). A non-test file anywhere
+// else that imports hash/crc32 is growing a fourth codec; it should build
+// on safeio.Log instead.
+func TestOneRecordFraming(t *testing.T) {
+	root := repoRoot(t)
+	allowed := map[string]bool{
+		"internal/safeio": true, "internal/cellcache": true, "internal/modelio": true,
+	}
+	for _, dir := range goPackageDirs(t, root) {
+		rel, _ := filepath.Rel(root, dir)
+		if allowed[filepath.ToSlash(rel)] {
+			continue
+		}
+		fset, files := parseDir(t, dir)
+		for _, f := range files {
+			for _, imp := range f.Imports {
+				if imp.Path.Value == `"hash/crc32"` {
+					t.Errorf("%s: imports hash/crc32; frame durable records with safeio.Log", fset.Position(imp.Pos()))
 				}
 			}
 		}
