@@ -27,6 +27,7 @@ func (a Atom) Term() int32 {
 	return t
 }
 
+// String formats the atom as its signed term, e.g. "-3<<2,last".
 func (a Atom) String() string {
 	s := "+"
 	if a.Sign {
@@ -98,6 +99,13 @@ func DecomposeDense(v int32, bits int, n Granularity) []Atom {
 	return decompose(v, bits, n, true)
 }
 
+// Magnitude returns |v| without a branch; the most negative int32 maps to
+// 1<<31.
+func Magnitude(v int32) uint32 {
+	s := v >> 31
+	return uint32((v ^ s) - s)
+}
+
 func panicRange(v int32, bits int) {
 	panic(fmt.Sprintf("atom: value %d does not fit in %d bits", v, bits))
 }
@@ -135,10 +143,7 @@ func Reconstruct(atoms []Atom) int32 {
 // the per-value workload unit of condensed streaming computation.
 func CountNonZero(v int32, bits int, n Granularity) int {
 	n.Validate()
-	mag := uint32(v)
-	if v < 0 {
-		mag = uint32(-v)
-	}
+	mag := Magnitude(v)
 	if mag < 256 {
 		return int(nzCount[n-1][mag])
 	}

@@ -1,5 +1,7 @@
 package atom
 
+import "math/bits"
+
 // Bit-serial accelerators such as Laconic, Bit-Pragmatic and Bit-Tactical
 // process only the "effectual terms" of an operand: a signed-power-of-two
 // recoding where each term is ±2^k. Laconic uses a Booth-style encoder at the
@@ -52,33 +54,38 @@ func TermValue(terms []Term) int32 {
 
 // TermCount returns the number of effectual (non-zero) NAF terms of v; zero
 // values have zero terms. This is the bit-serial workload unit.
-func TermCount(v int32) int {
-	cnt := 0
-	x := int64(v)
-	if x < 0 {
-		x = -x
-	}
-	for x != 0 {
-		if x&1 != 0 {
-			x -= 2 - (x & 3)
-			cnt++
-		}
-		x >>= 1
-	}
-	return cnt
-}
+func TermCount(v int32) int { return terms(Magnitude(v), true) }
 
 // OneCount returns the plain popcount of |v| — the term count of a naive
 // (non-Booth) bit-serial encoder. Exposed so the Laconic model can be
 // configured either way.
-func OneCount(v int32) int {
-	x := uint32(v)
-	if v < 0 {
-		x = uint32(-v)
+func OneCount(v int32) int { return terms(Magnitude(v), false) }
+
+// terms returns the effectual terms of magnitude mag: NAF terms if booth,
+// else its popcount. Magnitudes below 256 read the precomputed table.
+func terms(mag uint32, booth bool) int {
+	if mag < 256 {
+		b := 0
+		if booth {
+			b = 1
+		}
+		return int(termCount[b][mag])
 	}
+	if booth {
+		return nafCount(mag)
+	}
+	return bits.OnesCount32(mag)
+}
+
+// nafCount counts the non-zero digits of the non-adjacent form of mag.
+func nafCount(mag uint32) int {
 	cnt := 0
+	x := int64(mag)
 	for x != 0 {
-		cnt += int(x & 1)
+		if x&1 != 0 {
+			x -= 2 - (x & 3) // +1 if x ≡ 1 (mod 4), -1 if x ≡ 3 (mod 4)
+			cnt++
+		}
 		x >>= 1
 	}
 	return cnt
@@ -90,16 +97,31 @@ func OneCount(v int32) int {
 func TermHistogram(data []int32, booth bool) []int {
 	var h []int
 	for _, v := range data {
-		var t int
-		if booth {
-			t = TermCount(v)
-		} else {
-			t = OneCount(v)
-		}
-		for len(h) <= t {
-			h = append(h, 0)
-		}
-		h[t]++
+		h = addTerms(h, Magnitude(v), 1, booth)
 	}
+	return h
+}
+
+// MagTermHistogram is TermHistogram over a magnitude histogram, where
+// hist[m] counts the values of magnitude m: the same h, read off one bucket
+// at a time instead of one value at a time.
+func MagTermHistogram(hist []int, booth bool) []int {
+	var h []int
+	for m, c := range hist {
+		if c > 0 {
+			h = addTerms(h, uint32(m), c, booth)
+		}
+	}
+	return h
+}
+
+// addTerms adds count values of magnitude mag to the term histogram h,
+// growing it as needed.
+func addTerms(h []int, mag uint32, count int, booth bool) []int {
+	t := terms(mag, booth)
+	for len(h) <= t {
+		h = append(h, 0)
+	}
+	h[t] += count
 	return h
 }

@@ -1,5 +1,7 @@
 package atom
 
+import "math/bits"
+
 // Precomputed decomposition tables. Stream building atomizes every non-zero
 // value of every feature map and kernel, so the per-value digit extraction is
 // one of the innermost loops of the whole simulator. Magnitudes are at most
@@ -14,7 +16,16 @@ var nzDigits [4][256][]Atom
 // passes avoid touching the slice headers.
 var nzCount [4][256]uint8
 
+// termCount[0][mag] is the popcount of mag and termCount[1][mag] its number
+// of non-adjacent-form terms: the bit-serial workload of mag under a plain
+// and under a Booth encoder (OneCount, TermCount), indexed by the booth flag.
+var termCount [2][256]uint8
+
 func init() {
+	for mag := uint32(0); mag < 256; mag++ {
+		termCount[0][mag] = uint8(bits.OnesCount32(mag))
+		termCount[1][mag] = uint8(nafCount(mag))
+	}
 	for n := Granularity(1); n <= 4; n++ {
 		mask := uint32(1)<<uint(n) - 1
 		for mag := uint32(0); mag < 256; mag++ {
@@ -99,11 +110,7 @@ func appendDigitsGeneric(dst []Atom, mag uint32, bits int, n Granularity) []Atom
 // signMag splits v into sign and magnitude, enforcing the range contract
 // shared by every decomposition entry point.
 func signMag(v int32, bits int) (bool, uint32) {
-	sign := v < 0
-	mag := uint32(v)
-	if sign {
-		mag = uint32(-v)
-	}
+	sign, mag := v < 0, Magnitude(v)
 	if bits <= 0 || mag >= 1<<uint(bits) {
 		panicRange(v, bits)
 	}
