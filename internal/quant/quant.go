@@ -66,118 +66,185 @@ func DefaultActClip(bits int) float64 {
 	}
 }
 
+// Quantizer is the per-value arithmetic of one uniform quantizer.
+// QuantizeSigned and QuantizeUnsigned apply it to a slice; workload
+// synthesis applies it to each value as it is drawn.
+type Quantizer struct {
+	scale  float64
+	lo, hi float64 // code range; the quotient is clamped to it before rounding
+	// Code maps every v <= reluAt to 0. reluAt is NaN, so never matched, for
+	// the signed quantizer and for a ReLU with a positive step, where the
+	// clamp at lo = 0 already zeroes every v <= 0 without a branch. Only a
+	// degenerate ReLU (clip or std not positive) tests v itself.
+	reluAt float64
+}
+
+// NewSigned returns the symmetric signed quantizer of QuantizeSigned for
+// real values with standard deviation std. It panics below 2 bits.
+func NewSigned(std float64, cfg Config) Quantizer {
+	if cfg.Bits < 2 {
+		panic(fmt.Sprintf("quant: signed quantization needs >=2 bits, got %d", cfg.Bits))
+	}
+	qmax := float64(int32(1)<<(cfg.Bits-1) - 1)
+	return Quantizer{scale: cfg.ClipSigma * std / qmax, lo: -qmax, hi: qmax, reluAt: math.NaN()}
+}
+
+// NewUnsigned returns the ReLU-then-quantize quantizer of QuantizeUnsigned
+// for pre-activation values with standard deviation std.
+func NewUnsigned(std float64, cfg Config) Quantizer {
+	qmax := float64(int32(1)<<cfg.Bits - 1)
+	q := Quantizer{scale: cfg.ClipSigma * std / qmax, hi: qmax, reluAt: math.NaN()}
+	if !(q.scale > 0) { // v > 0 may give a negative or NaN quotient here
+		q.lo, q.reluAt = math.MinInt32, 0
+	}
+	return q
+}
+
+// Code returns the integer code of v: v/scale rounded half away from zero
+// (math.Round), then clamped to the code range. Clamping first gives the
+// same code, as the bounds are integers, and keeps the quotient inside
+// int32, where its exact fraction r - trunc(r) decides the rounding without
+// a branch on v. A NaN quotient yields math.MinInt32, as int32(math.NaN())
+// does.
+func (q Quantizer) Code(v float64) int32 {
+	r := max(min(v/q.scale, q.hi), q.lo)
+	c := int32(r)
+	c += int32(2 * (r - float64(c))) // ±1 once the fraction reaches ±0.5
+	if r != r {
+		c = math.MinInt32
+	}
+	if v <= q.reluAt {
+		c = 0
+	}
+	return c
+}
+
+// MaxCode returns the largest code magnitude the quantizer produces.
+func (q Quantizer) MaxCode() int { return int(q.hi) }
+
 // QuantizeSigned quantizes real-valued weights (with standard deviation std)
 // to symmetric signed integers in (-(1<<(bits-1)), 1<<(bits-1)): the most
 // negative code is excluded so magnitudes fit bits-1 bits, as sign-magnitude
 // atomization requires.
 func QuantizeSigned(x []float64, std float64, cfg Config) []int32 {
-	if cfg.Bits < 2 {
-		panic(fmt.Sprintf("quant: signed quantization needs >=2 bits, got %d", cfg.Bits))
-	}
-	clip := cfg.ClipSigma * std
-	qmax := float64(int32(1)<<(cfg.Bits-1) - 1)
-	scale := clip / qmax
-	out := make([]int32, len(x))
-	for i, v := range x {
-		q := math.Round(v / scale)
-		if q > qmax {
-			q = qmax
-		}
-		if q < -qmax {
-			q = -qmax
-		}
-		out[i] = int32(q)
-	}
-	return out
+	return quantize(x, NewSigned(std, cfg))
 }
 
 // QuantizeUnsigned quantizes real-valued pre-activation values (standard
 // deviation std) through ReLU and a uniform unsigned quantizer to
 // [0, 1<<bits).
 func QuantizeUnsigned(x []float64, std float64, cfg Config) []int32 {
-	clip := cfg.ClipSigma * std
-	qmax := float64(int32(1)<<cfg.Bits - 1)
-	scale := clip / qmax
+	return quantize(x, NewUnsigned(std, cfg))
+}
+
+func quantize(x []float64, q Quantizer) []int32 {
 	out := make([]int32, len(x))
 	for i, v := range x {
-		if v <= 0 {
-			continue // ReLU
-		}
-		q := math.Round(v / scale)
-		if q > qmax {
-			q = qmax
-		}
-		out[i] = int32(q)
+		out[i] = q.Code(v)
 	}
 	return out
 }
 
 // PruneToDensity zeroes the smallest-magnitude values of data in place until
 // at most ceil(density*len) non-zeros remain (magnitude pruning). Values
-// already zero count toward the pruned set. It returns the achieved density.
+// already zero count toward the pruned set. It returns the achieved density,
+// 0 for empty data.
 func PruneToDensity(data []int32, density float64) float64 {
+	hist := MagnitudeHist(data, nil)
+	t, surplus := PruneHist(hist, density)
+	PruneAt(data, t, surplus)
+	if len(data) == 0 {
+		return 0
+	}
+	return float64(len(data)-hist[0]) / float64(len(data))
+}
+
+// PruneAt applies a threshold from PruneHist to the values it counted, in
+// place: magnitudes below t become zero, and so does every value of
+// magnitude t after the first surplus of them in index order.
+func PruneAt(data []int32, t, surplus int) {
+	if t == 0 {
+		return
+	}
+	cut := tieCut(data, t, surplus)
+	zeroBelow(data[:cut], t)
+	zeroBelow(data[cut:], t+1)
+}
+
+// zeroBelow zeroes every value of data whose magnitude is below t.
+func zeroBelow(data []int32, t int) {
+	for i, v := range data {
+		if int(atom.Magnitude(v)) < t {
+			v = 0
+		}
+		data[i] = v // unconditional, so the select compiles without a branch
+	}
+}
+
+// MagnitudeHist returns the magnitude histogram of data: hist[m] counts the
+// values with |v| == m, and len(hist) is one more than the largest magnitude
+// (at least 1). It reuses buf's storage.
+func MagnitudeHist(data []int32, buf []int) []int {
+	hist := append(buf[:0], 0)
+	for _, v := range data {
+		m := int(atom.Magnitude(v))
+		if m >= len(hist) {
+			hist = append(hist, make([]int, m+1-len(hist))...)
+		}
+		hist[m]++
+	}
+	return hist
+}
+
+// PruneHist is the magnitude-pruning rule on a magnitude histogram (hist[m]
+// counts the values with |v| == m; hist must not be empty). Of its
+// n = sum(hist) values at most keep = ceil(density*n) may stay non-zero:
+// every value above the smallest threshold t for which that holds survives,
+// and so do the first surplus values of magnitude exactly t in index order;
+// the rest become zero (PruneAt). PruneHist rewrites hist into the histogram
+// of the pruned values and returns t and surplus. t == 0 means nothing is
+// pruned.
+func PruneHist(hist []int, density float64) (t, surplus int) {
 	if density < 0 || density > 1 {
 		panic(fmt.Sprintf("quant: invalid target density %v", density))
 	}
-	keep := int(math.Ceil(density * float64(len(data))))
-	nz := 0
-	for _, v := range data {
-		if v != 0 {
-			nz++
-		}
+	n := 0
+	for _, c := range hist {
+		n += c
 	}
-	if nz <= keep {
-		return float64(nz) / float64(len(data))
+	keep := int(math.Ceil(density * float64(n)))
+	remain := n - hist[0] // values above magnitude t
+	for remain > keep {
+		t++
+		remain -= hist[t]
 	}
-	// Threshold selection via magnitude histogram (values are small ints).
-	maxAbs := 0
-	for _, v := range data {
-		a := int(v)
-		if a < 0 {
-			a = -a
-		}
-		if a > maxAbs {
-			maxAbs = a
-		}
+	if t == 0 {
+		return 0, 0
 	}
-	hist := make([]int, maxAbs+1)
-	for _, v := range data {
-		a := int(v)
-		if a < 0 {
-			a = -a
-		}
-		hist[a]++
+	surplus = keep - remain
+	clear(hist[1:t])
+	hist[t] = surplus
+	hist[0] = n - keep
+	return t, surplus
+}
+
+// tieCut returns the index just past the surplus-th value of magnitude t in
+// data: the values of magnitude t before it survive pruning, those from it
+// on do not.
+func tieCut(data []int32, t, surplus int) int {
+	if surplus == 0 {
+		return 0
 	}
-	// Find smallest threshold t such that count(|v| > t) <= keep.
-	remain := nz
-	t := 0
-	for ; t <= maxAbs; t++ {
-		if t > 0 {
-			remain -= hist[t]
-		}
-		if remain <= keep {
-			break
-		}
-	}
-	surplus := keep - remain // how many values at magnitude t+? may be kept extra
-	kept := 0
 	for i, v := range data {
-		a := v
-		if a < 0 {
-			a = -a
+		tie := 0
+		if int(atom.Magnitude(v)) == t {
+			tie = 1
 		}
-		switch {
-		case a == 0:
-		case int(a) > t:
-			kept++
-		case int(a) == t && surplus > 0:
-			surplus--
-			kept++
-		default:
-			data[i] = 0
+		if surplus -= tie; surplus == 0 {
+			return i + 1
 		}
 	}
-	return float64(kept) / float64(len(data))
+	return len(data)
 }
 
 // Stats summarizes the sparsity structure of a quantized operand at a given
@@ -193,14 +260,35 @@ type Stats struct {
 
 // Measure computes Stats over data at the given bit-width and atom size.
 func Measure(data []int32, bits int, n atom.Granularity) Stats {
-	s := Stats{Len: len(data)}
+	var s Stats
 	for _, v := range data {
-		if v != 0 {
-			s.NonZero++
-			s.NonZeroAtoms += atom.CountNonZero(v, bits, n)
-		}
+		s.add(v, 1, bits, n)
 	}
-	s.DenseAtoms = len(data) * n.Count(bits)
+	return s.finish(bits, n)
+}
+
+// MeasureHist computes the Stats of the values a magnitude histogram counts
+// (hist[m] values of magnitude m): Measure's result, one bucket at a time.
+func MeasureHist(hist []int, bits int, n atom.Granularity) Stats {
+	var s Stats
+	for m, c := range hist {
+		s.add(int32(m), c, bits, n)
+	}
+	return s.finish(bits, n)
+}
+
+// add counts count values equal to v (or to -v).
+func (s *Stats) add(v int32, count, bits int, n atom.Granularity) {
+	s.Len += count
+	if v != 0 && count > 0 {
+		s.NonZero += count
+		s.NonZeroAtoms += count * atom.CountNonZero(v, bits, n)
+	}
+}
+
+// finish derives the dense stream length and the densities from the counts.
+func (s Stats) finish(bits int, n atom.Granularity) Stats {
+	s.DenseAtoms = s.Len * n.Count(bits)
 	if s.Len > 0 {
 		s.ValueDensity = float64(s.NonZero) / float64(s.Len)
 	}
