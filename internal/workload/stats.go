@@ -38,63 +38,61 @@ type LayerStats struct {
 	WTermHist []int
 }
 
-// StatsFromTensors measures LayerStats from materialized operands.
+// StatsFromTensors measures LayerStats from materialized operands, which
+// must have l's shape.
 func StatsFromTensors(l model.Layer, f *tensor.FeatureMap, k *tensor.KernelStack, gran atom.Granularity, booth bool) LayerStats {
-	s := LayerStats{
-		Layer: l, WBits: f.Bits, ABits: f.Bits, Gran: gran,
-		ActAtomsPerChan: make([]int, l.C),
-		WAtomsPerChan:   make([]int, l.C),
-		ActNZPerChan:    make([]int, l.C),
-		WNZPerChan:      make([]int, l.C),
-		WNZPerFilter:    make([]int, l.K),
-		WAtomsPerFilter: make([]int, l.K),
+	m := newMeter(l, k.Bits, f.Bits, gran)
+	var hist []int
+	for c := 0; c < f.C; c++ {
+		hist = quant.MagnitudeHist(f.Channel(c), hist)
+		m.plane(c, hist)
 	}
-	s.WBits = k.Bits
-	s.ABits = f.Bits
-	s.A = quant.Measure(f.Data, f.Bits, gran)
-	s.W = quant.Measure(k.Data, k.Bits, gran)
-	for c := 0; c < l.C; c++ {
-		plane := f.Channel(c)
-		for _, v := range plane {
-			if v != 0 {
-				s.ActNZPerChan[c]++
-				s.ActAtomsPerChan[c] += atom.CountNonZero(v, f.Bits, gran)
-			}
-		}
-	}
-	for kk := 0; kk < k.K; kk++ {
-		for c := 0; c < k.C; c++ {
-			for y := 0; y < k.KH; y++ {
-				for x := 0; x < k.KW; x++ {
-					v := k.At(kk, c, y, x)
-					if v != 0 {
-						s.WNZPerChan[c]++
-						na := atom.CountNonZero(v, k.Bits, gran)
-						s.WAtomsPerChan[c] += na
-						s.WNZPerFilter[kk]++
-						s.WAtomsPerFilter[kk] += na
-					}
-				}
-			}
-		}
-	}
-	s.ATermHist = atom.TermHistogram(f.Data, booth)
-	s.WTermHist = atom.TermHistogram(k.Data, booth)
-	return s
+	m.weights(k.Data, quant.MagnitudeHist(k.Data, nil))
+	return m.finish(booth)
 }
 
-// LayerStats generates a layer's operands and measures their statistics in
-// one step. The booth flag selects NAF (true) or popcount term counting for
-// the bit-serial histograms.
+// LayerStats draws a layer's operands exactly as LayerOperands does and
+// measures them as StatsFromTensors would, without materializing them:
+// each activation plane is drawn straight into a magnitude histogram and
+// pruned there, and the weight codes go into a scratch buffer the generator
+// reuses across layers. The booth flag selects NAF (true) or popcount term
+// counting for the bit-serial histograms.
 func (g *Gen) LayerStats(l model.Layer, wbits, abits int, gran atom.Granularity, t Targets, booth bool) LayerStats {
-	f, k := g.LayerOperands(l, wbits, abits, t)
-	return StatsFromTensors(l, f, k, gran, booth)
+	m := newMeter(l, wbits, abits, gran)
+	aq := actQuantizer(abits)
+	hist := make([]int, aq.MaxCode()+1)
+	for c := 0; c < l.C; c++ {
+		clear(hist)
+		for i := 0; i < l.H*l.W; i++ {
+			hist[aq.Code(g.rng.NormFloat64())]++
+		}
+		quant.PruneHist(hist, planeDensity(t.ADensity, c))
+		m.plane(c, hist)
+	}
+
+	codes := g.scratch(int(l.Weights()))
+	m.weights(codes, g.drawWeights(codes, wbits, t.WDensity))
+	return m.finish(booth)
+}
+
+// scratch returns the generator's weight scratch at length n, growing it
+// when it is shorter.
+func (g *Gen) scratch(n int) []int32 {
+	if cap(g.codes) < n {
+		g.codes = make([]int32, n)
+	}
+	return g.codes[:n]
 }
 
 // NetworkStats generates statistics for every layer of a network under a
 // precision assignment.
 func (g *Gen) NetworkStats(n *model.Network, p model.Precision, gran atom.Granularity, booth bool) []LayerStats {
 	out := make([]LayerStats, len(n.Layers))
+	most := 0
+	for _, l := range n.Layers {
+		most = max(most, int(l.Weights()))
+	}
+	g.scratch(most) // once at full size: growing layer by layer leaves garbage
 	for i, l := range n.Layers {
 		t := EvalTargets(n.Name, p.WBits[i], p.ABits[i])
 		out[i] = g.LayerStats(l, p.WBits[i], p.ABits[i], gran, t, booth)
@@ -107,3 +105,80 @@ func (s *LayerStats) TotalActAtoms() int { return s.A.NonZeroAtoms }
 
 // TotalWAtoms returns the total non-zero weight atoms (S summed over chans).
 func (s *LayerStats) TotalWAtoms() int { return s.W.NonZeroAtoms }
+
+// meter accumulates LayerStats from magnitude histograms and weight codes.
+// LayerStats and StatsFromTensors both measure through it, so the drawn and
+// the materialized path share every counting rule.
+type meter struct {
+	s            LayerStats
+	aHist, wHist []int
+}
+
+func newMeter(l model.Layer, wbits, abits int, gran atom.Granularity) *meter {
+	return &meter{s: LayerStats{
+		Layer: l, WBits: wbits, ABits: abits, Gran: gran,
+		ActAtomsPerChan: make([]int, l.C),
+		WAtomsPerChan:   make([]int, l.C),
+		ActNZPerChan:    make([]int, l.C),
+		WNZPerChan:      make([]int, l.C),
+		WNZPerFilter:    make([]int, l.K),
+		WAtomsPerFilter: make([]int, l.K),
+	}}
+}
+
+// plane folds in the magnitude histogram of input channel c's activations.
+func (m *meter) plane(c int, hist []int) {
+	for len(m.aHist) < len(hist) {
+		m.aHist = append(m.aHist, 0)
+	}
+	for mag, n := range hist {
+		m.aHist[mag] += n
+		if mag > 0 && n > 0 {
+			m.s.ActNZPerChan[c] += n
+			m.s.ActAtomsPerChan[c] += n * atom.CountNonZero(int32(mag), m.s.ABits, m.s.Gran)
+		}
+	}
+}
+
+// weights folds in the layer's kernel stack, its codes laid out (k, c, y,
+// x), and their magnitude histogram.
+func (m *meter) weights(codes []int32, hist []int) {
+	m.wHist = hist
+	// tab[mag] packs one weight's non-zero count (high half) and atom count
+	// (low half), so a single add per weight updates both. Neither half of
+	// a per-channel or per-filter sum comes near 1<<32.
+	tab := make([]uint64, len(hist))
+	for mag := 1; mag < len(tab); mag++ {
+		tab[mag] = 1<<32 | uint64(atom.CountNonZero(int32(mag), m.s.WBits, m.s.Gran))
+	}
+	l := m.s.Layer
+	area := l.KH * l.KW
+	perChan := make([]uint64, l.C)
+	for k := range m.s.WNZPerFilter {
+		var sum uint64
+		for c := range perChan {
+			var s uint64
+			for _, v := range codes[(k*l.C+c)*area : (k*l.C+c+1)*area] {
+				s += tab[atom.Magnitude(v)]
+			}
+			perChan[c] += s
+			sum += s
+		}
+		m.s.WNZPerFilter[k], m.s.WAtomsPerFilter[k] = unpack(sum)
+	}
+	for c, s := range perChan {
+		m.s.WNZPerChan[c], m.s.WAtomsPerChan[c] = unpack(s)
+	}
+}
+
+// unpack splits a packed tab sum into its non-zero and atom counts.
+func unpack(s uint64) (nz, atoms int) { return int(s >> 32), int(uint32(s)) }
+
+// finish derives the totals and term histograms from the layer histograms.
+func (m *meter) finish(booth bool) LayerStats {
+	m.s.A = quant.MeasureHist(m.aHist, m.s.ABits, m.s.Gran)
+	m.s.W = quant.MeasureHist(m.wHist, m.s.WBits, m.s.Gran)
+	m.s.ATermHist = atom.MagTermHistogram(m.aHist, booth)
+	m.s.WTermHist = atom.MagTermHistogram(m.wHist, booth)
+	return m.s
+}

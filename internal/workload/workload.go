@@ -98,7 +98,8 @@ func DeriveSeed(base int64, labels ...string) int64 {
 
 // Gen is a deterministic generator of synthetic operands.
 type Gen struct {
-	rng *rand.Rand
+	rng   *rand.Rand
+	codes []int32 // LayerStats' weight scratch, reused across layers
 }
 
 // NewGen returns a generator seeded with seed.
@@ -116,21 +117,34 @@ func NewGen(seed int64) *Gen {
 // ±60% while preserving the mean.
 func (g *Gen) FeatureMap(c, h, w, bits int, aDensity float64) *tensor.FeatureMap {
 	f := tensor.NewFeatureMap(c, h, w, bits)
-	raw := make([]float64, h*w)
+	q := actQuantizer(bits)
 	for ch := 0; ch < c; ch++ {
-		for i := range raw {
-			raw[i] = g.rng.NormFloat64()
-		}
-		q := quant.QuantizeUnsigned(raw, 1, quant.Config{Bits: bits, ClipSigma: quant.DefaultActClip(bits)})
 		plane := f.Channel(ch)
-		copy(plane, q)
-		// Pseudo-random per-channel factor in [0.4, 1.6], mean ≈1. Hashed
-		// by channel index (not sequential) so that cyclic tile assignment
-		// does not accidentally balance it.
-		factor := 0.4 + 1.2*float64(splitmix(uint64(ch)+0x9e37)%1024)/1023
-		quant.PruneToDensity(plane, clamp01(aDensity*factor))
+		for i := range plane {
+			plane[i] = q.Code(g.rng.NormFloat64())
+		}
+		quant.PruneToDensity(plane, planeDensity(aDensity, ch))
 	}
 	return f
+}
+
+// planeDensity is channel ch's activation density target: aDensity scaled
+// by a pseudo-random per-channel factor in [0.4, 1.6], mean ≈1. The factor
+// is hashed by channel index (not sequential) so that cyclic tile
+// assignment does not accidentally balance it.
+func planeDensity(aDensity float64, ch int) float64 {
+	factor := 0.4 + 1.2*float64(splitmix(uint64(ch)+0x9e37)%1024)/1023
+	return clamp01(aDensity * factor)
+}
+
+// actQuantizer and weightQuantizer are the default quantizers of synthetic
+// activations and weights (unit-variance sources).
+func actQuantizer(bits int) quant.Quantizer {
+	return quant.NewUnsigned(1, quant.Config{Bits: bits, ClipSigma: quant.DefaultActClip(bits)})
+}
+
+func weightQuantizer(bits int) quant.Quantizer {
+	return quant.NewSigned(1, quant.Config{Bits: bits, ClipSigma: quant.DefaultWeightClip(bits)})
 }
 
 func splitmix(x uint64) uint64 {
@@ -145,14 +159,24 @@ func splitmix(x uint64) uint64 {
 // target density.
 func (g *Gen) Kernels(k, c, kh, kw, bits int, wDensity float64) *tensor.KernelStack {
 	ks := tensor.NewKernelStack(k, c, kh, kw, bits)
-	raw := make([]float64, ks.Len())
-	for i := range raw {
-		raw[i] = g.rng.NormFloat64()
-	}
-	q := quant.QuantizeSigned(raw, 1, quant.Config{Bits: bits, ClipSigma: quant.DefaultWeightClip(bits)})
-	copy(ks.Data, q)
-	quant.PruneToDensity(ks.Data, wDensity)
+	g.drawWeights(ks.Data, bits, wDensity)
 	return ks
+}
+
+// drawWeights fills codes with quantized weights drawn in order, prunes them
+// to wDensity as PruneToDensity would, and returns their pruned magnitude
+// histogram, which it builds while drawing.
+func (g *Gen) drawWeights(codes []int32, bits int, wDensity float64) []int {
+	q := weightQuantizer(bits)
+	hist := make([]int, q.MaxCode()+1)
+	for i := range codes {
+		v := q.Code(g.rng.NormFloat64())
+		codes[i] = v
+		hist[atom.Magnitude(v)]++
+	}
+	t, surplus := quant.PruneHist(hist, wDensity)
+	quant.PruneAt(codes, t, surplus)
+	return hist
 }
 
 // value draws a non-zero value whose non-zero atoms appear with probability
