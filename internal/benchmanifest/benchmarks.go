@@ -17,6 +17,8 @@ import (
 
 	"ristretto/internal/atom"
 	"ristretto/internal/core"
+	"ristretto/internal/experiments"
+	"ristretto/internal/model"
 	"ristretto/internal/ristretto"
 	"ristretto/internal/tensor"
 	"ristretto/internal/workload"
@@ -39,6 +41,9 @@ func Registry() []Benchmark {
 		{Name: "core/act_stream_16x16", Fn: benchActStream},
 		{Name: "core/weight_stream_16k", Fn: benchWeightStream},
 		{Name: "atom/decompose_sweep_8b", Fn: benchAtomDecompose},
+		{Name: "workload/network_stats_alexnet", Fn: benchNetworkStats(model.AlexNet())},
+		{Name: "workload/network_stats_vgg16", Fn: benchNetworkStats(model.VGG16())},
+		{Name: "workload/network_stats_resnet50", Fn: benchNetworkStats(model.ResNet50())},
 	}
 }
 
@@ -135,6 +140,23 @@ func benchAtomDecompose(b *testing.B) {
 	for i := 0; i < b.N; i++ {
 		for v := int32(0); v < 256; v++ {
 			atom.Decompose(v, 8, 2)
+		}
+	}
+}
+
+// benchNetworkStats measures workload synthesis, the layer that dominates a
+// full run and a cold /v1/model: every layer of n drawn, quantized, pruned
+// and measured as Bench.Stats does it, at scale 16, 4-bit, 2-bit atoms and
+// NAF term counting. Each op starts from a fresh generator.
+func benchNetworkStats(n *model.Network) func(b *testing.B) {
+	sn := experiments.NewQuickBench(1, 16).Scaled(n)
+	p := model.Uniform(sn, 4)
+	return func(b *testing.B) {
+		b.ReportAllocs()
+		for i := 0; i < b.N; i++ {
+			if st := workload.NewGen(1).NetworkStats(sn, p, 2, true); len(st) != len(sn.Layers) {
+				b.Fatal("missing layers")
+			}
 		}
 	}
 }

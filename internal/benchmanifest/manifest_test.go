@@ -110,6 +110,9 @@ func TestRegistryNamesStable(t *testing.T) {
 		"core/act_stream_16x16",
 		"core/weight_stream_16k",
 		"atom/decompose_sweep_8b",
+		"workload/network_stats_alexnet",
+		"workload/network_stats_vgg16",
+		"workload/network_stats_resnet50",
 	}
 	reg := Registry()
 	if len(reg) != len(want) {
