@@ -120,13 +120,15 @@ func exportedReceiver(fd *ast.FuncDecl) bool {
 // TestExportedDocComments requires doc comments on every exported
 // identifier of the packages that promise full godoc: internal/telemetry,
 // internal/runner, internal/ristretto, internal/server, internal/loadtest,
-// internal/accel, internal/memo and internal/safeio.
+// internal/accel, internal/memo, internal/safeio, internal/workload,
+// internal/quant and internal/atom.
 func TestExportedDocComments(t *testing.T) {
 	root := repoRoot(t)
 	for _, pkg := range []string{
 		"internal/telemetry", "internal/runner", "internal/ristretto",
 		"internal/server", "internal/loadtest", "internal/accel",
-		"internal/memo", "internal/safeio",
+		"internal/memo", "internal/safeio", "internal/workload",
+		"internal/quant", "internal/atom",
 	} {
 		fset, files := parseDir(t, filepath.Join(root, pkg))
 		for _, f := range files {
