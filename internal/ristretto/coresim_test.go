@@ -2,11 +2,15 @@ package ristretto
 
 import (
 	"math/rand"
+	"runtime"
 	"testing"
+	"unsafe"
 
 	"ristretto/internal/atom"
 	"ristretto/internal/balance"
+	"ristretto/internal/core"
 	"ristretto/internal/refconv"
+	"ristretto/internal/tensor"
 	"ristretto/internal/workload"
 )
 
@@ -97,6 +101,63 @@ func TestSimulateCoreBusyBounded(t *testing.T) {
 	for i, b := range res.TileBusy {
 		if b > res.Cycles {
 			t.Fatalf("tile %d busy %d exceeds global cycles %d", i, b, res.Cycles)
+		}
+	}
+}
+
+// TestSimulateCoreMemoryBound bounds the bytes one SimulateCore call
+// allocates — what one /v1/sim request costs the daemon — by its inputs:
+// a small multiple of the operand and compressed-stream bytes (stream
+// building with its temporaries), two output volumes per spatial tile (the
+// tile's shared accumulator, plus the global buffer and strided output its
+// overlap-add covers), one accumulate-bank image per compute tile and a
+// few words of bookkeeping per (input channel, spatial tile) job. A
+// per-job accumulator grows with the channel count instead and breaks the
+// bound.
+func TestSimulateCoreMemoryBound(t *testing.T) {
+	g := workload.NewGen(90)
+	f := g.FeatureMap(32, 12, 12, 4, 0.5)
+	w := g.Kernels(32, 32, 3, 3, 4, 0.5)
+	for _, tc := range []struct {
+		name   string
+		tw, th int
+	}{{"whole_plane", 0, 0}, {"tiles_4x4", 4, 4}, {"tiles_1x1", 1, 1}} {
+		cfg := CoreSimConfig{Tiles: 4, Tile: TileConfig{Mults: 32, Gran: 2}, TileW: tc.tw, TileH: tc.th, Policy: balance.WeightAct}
+		tw, th := tc.tw, tc.th
+		if tw == 0 {
+			tw, th = f.W, f.H
+		}
+		tiles := tensor.TileGrid(f.W, f.H, tw, th)
+		operands := 4 * int64(len(f.Data)+len(w.Data))
+		var streams, volumes, maxVolume int64
+		for c := 0; c < f.C; c++ {
+			ws := core.CompressWeights(core.FlattenKernels(w, c, nil), w.Bits, 2, false)
+			streams += int64(len(ws)) * int64(unsafe.Sizeof(core.WeightAtom{}))
+			for _, tl := range tiles {
+				streams += int64(len(core.StreamTileActs(f, c, tl, 2))) * int64(unsafe.Sizeof(core.ActAtom{}))
+			}
+		}
+		for _, tl := range tiles {
+			v := 4 * int64(w.K*(tl.H+w.KH-1)*(tl.W+w.KW-1))
+			volumes += v
+			maxVolume = max(maxVolume, v)
+		}
+		jobs := int64(f.C * len(tiles))
+		budget := 2*operands + 8*streams + 256*jobs + 2*volumes + int64(cfg.Tiles)*2*maxVolume + 64<<10
+
+		var before, after runtime.MemStats
+		runtime.GC()
+		runtime.ReadMemStats(&before)
+		res := SimulateCore(f, w, 1, 1, cfg)
+		runtime.ReadMemStats(&after)
+		if !res.Output.Equal(refconv.Conv(f, w, 1, 1)) {
+			t.Fatalf("%s: output wrong", tc.name)
+		}
+		got := int64(after.TotalAlloc - before.TotalAlloc)
+		t.Logf("%s: allocated %d B of a %d B budget", tc.name, got, budget)
+		if got > budget {
+			t.Errorf("%s: SimulateCore allocated %d B, budget %d B (operands %d, streams %d, %d spatial tiles × ≤%d B output volume)",
+				tc.name, got, budget, operands, streams, len(tiles), maxVolume)
 		}
 	}
 }

@@ -69,8 +69,12 @@ type traceCtx struct {
 	tile   int
 }
 
+// on reports whether events are recorded; callers check it before
+// formatting an event's detail, so an untraced simulation formats nothing.
+func (c *traceCtx) on() bool { return c != nil && c.tracer != nil }
+
 func (c *traceCtx) emit(event string, job, chunk int, detail string) {
-	if c == nil || c.tracer == nil {
+	if !c.on() {
 		return
 	}
 	c.tracer.Emit(TraceEvent{Cycle: *c.cycle, Tile: c.tile, Event: event, Job: job, Chunk: chunk, Detail: detail})
