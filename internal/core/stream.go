@@ -339,13 +339,6 @@ func StreamTileActs(f *tensor.FeatureMap, c int, tl tensor.Tile, n atom.Granular
 	return out
 }
 
-// StreamLengths summarizes the compressed stream lengths that determine CSC
-// latency (Section III-B characteristics).
-type StreamLengths struct {
-	ActAtoms    int // t: non-zero activation atoms in the sliding stream
-	WeightAtoms int // S: non-zero weight atoms in the static stream
-}
-
 // Steps returns the exact number of intersection steps for streams of t
 // activation atoms against S weight atoms on N multipliers — the paper's
 // Eq. (3) with the ε of Eq. (4): the static stream is split into ceil(S/N)
