@@ -16,6 +16,7 @@ import (
 	"testing"
 
 	"ristretto/internal/atom"
+	"ristretto/internal/balance"
 	"ristretto/internal/core"
 	"ristretto/internal/experiments"
 	"ristretto/internal/model"
@@ -38,6 +39,7 @@ func Registry() []Benchmark {
 		{Name: "tile/intersect_16x16", Fn: benchTileIntersect},
 		{Name: "tile/intersect_contended", Fn: benchTileContended},
 		{Name: "core/sim_layer_8x8x4", Fn: benchCoreSimLayer},
+		{Name: "core/sim_serve_layer", Fn: benchCoreSimServe},
 		{Name: "core/act_stream_16x16", Fn: benchActStream},
 		{Name: "core/weight_stream_16k", Fn: benchWeightStream},
 		{Name: "atom/decompose_sweep_8b", Fn: benchAtomDecompose},
@@ -85,9 +87,9 @@ func benchTileContended(b *testing.B) {
 	}
 }
 
-// benchCoreSimLayer runs the whole lockstep core simulator on a small layer,
-// including stream building and balancing — the end-to-end cycle-sim cost
-// the daemon's /v1/sim pays per request.
+// benchCoreSimLayer runs the whole lockstep core simulator on a small layer
+// (4 tiles × 8 multipliers on 8×8 planes), including stream building and
+// balancing.
 func benchCoreSimLayer(b *testing.B) {
 	g := workload.NewGen(52)
 	f := g.FeatureMapExact(4, 8, 8, 8, 2, 0.5, 0.7)
@@ -97,6 +99,27 @@ func benchCoreSimLayer(b *testing.B) {
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		ristretto.SimulateCore(f, w, 1, 1, cfg)
+	}
+}
+
+// benchCoreSimServe is the cycle-sim cost one default /v1/sim request pays:
+// ResNet-18 conv4_2 at 4 bits and scale 16 (4×4 planes, 256 channels in and
+// out), operands drawn the way the daemon draws them, on its default shape
+// of 8 tiles × 32 multipliers with w/a balancing. Stream building and
+// balancing are timed; operand synthesis is not.
+func benchCoreSimServe(b *testing.B) {
+	n := model.ResNet18()
+	l, err := experiments.NewQuickBench(1, 16).Scaled(n).Layer("conv4_2")
+	if err != nil {
+		b.Fatal(err)
+	}
+	g := workload.NewGen(workload.DeriveSeed(1, "serve-sim", n.Name, l.Name, "4b"))
+	f, w := g.LayerOperands(l, 4, 4, workload.EvalTargets(n.Name, 4, 4))
+	cfg := ristretto.CoreSimConfig{Tiles: 8, Tile: ristretto.TileConfig{Mults: 32, Gran: 2}, Policy: balance.WeightAct}
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		ristretto.SimulateCore(f, w, l.Stride, l.Pad, cfg)
 	}
 }
 

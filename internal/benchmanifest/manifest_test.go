@@ -107,6 +107,7 @@ func TestRegistryNamesStable(t *testing.T) {
 		"tile/intersect_16x16",
 		"tile/intersect_contended",
 		"core/sim_layer_8x8x4",
+		"core/sim_serve_layer",
 		"core/act_stream_16x16",
 		"core/weight_stream_16k",
 		"atom/decompose_sweep_8b",
