@@ -1,6 +1,6 @@
-// Command ristretto-trace runs a layer on the lockstep whole-core simulator
+// Command ristretto-trace runs a layer on the whole-core cycle simulator
 // and writes a JSONL execution trace (job/chunk/drain transitions per
-// compute tile) for offline analysis or visualization.
+// compute tile, in cycle order) for offline analysis or visualization.
 //
 // Usage:
 //

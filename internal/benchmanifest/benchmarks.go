@@ -87,7 +87,7 @@ func benchTileContended(b *testing.B) {
 	}
 }
 
-// benchCoreSimLayer runs the whole lockstep core simulator on a small layer
+// benchCoreSimLayer runs the whole-core simulator on a small layer
 // (4 tiles × 8 multipliers on 8×8 planes), including stream building and
 // balancing.
 func benchCoreSimLayer(b *testing.B) {

@@ -62,7 +62,7 @@ func TestSimulateCoreRandomized(t *testing.T) {
 }
 
 func TestSimulateCoreTracksSimulateConv(t *testing.T) {
-	// The lockstep core adds load and drain overheads on top of
+	// The whole-core simulator adds load and drain overheads on top of
 	// SimulateConv's per-tile cycle sums; it must never be faster, and
 	// should stay within ~40% on a medium layer.
 	g := workload.NewGen(50)
@@ -72,7 +72,7 @@ func TestSimulateCoreTracksSimulateConv(t *testing.T) {
 	conv := SimulateConv(f, w, 1, 1, Config{Tiles: 3, Tile: tileCfg, Policy: balance.WeightAct})
 	core := SimulateCore(f, w, 1, 1, CoreSimConfig{Tiles: 3, Tile: tileCfg, Policy: balance.WeightAct})
 	if core.Cycles < conv.Cycles {
-		t.Fatalf("lockstep core (%d) cannot beat overhead-free per-tile sum (%d)", core.Cycles, conv.Cycles)
+		t.Fatalf("whole core (%d) cannot beat overhead-free per-tile sum (%d)", core.Cycles, conv.Cycles)
 	}
 	if float64(core.Cycles) > 1.4*float64(conv.Cycles) {
 		t.Fatalf("core overheads too large: %d vs %d", core.Cycles, conv.Cycles)

@@ -9,7 +9,7 @@ import (
 )
 
 // Cross-check the three performance views on the same operands: the
-// analytic model, the per-tile cycle simulator, and the lockstep core
+// analytic model, the per-tile cycle simulator, and the whole-core
 // simulator must agree on the invariant work counts (atom multiplications)
 // and stay mutually consistent on cycles.
 func TestThreeWayWorkConsistency(t *testing.T) {
@@ -40,7 +40,7 @@ func TestThreeWayWorkConsistency(t *testing.T) {
 		t.Fatalf("core-sim AtomMuls %d != invariant %d", core.Counters.AtomMuls, want)
 	}
 
-	// Cycle ordering: analytic (no overheads) ≤ per-tile sim ≤ lockstep
+	// Cycle ordering: analytic (no overheads) ≤ per-tile sim ≤ whole
 	// core (load + port contention), all within a modest band.
 	if conv.Cycles < est.Cycles*95/100 {
 		t.Fatalf("tile sim (%d) below analytic (%d)", conv.Cycles, est.Cycles)

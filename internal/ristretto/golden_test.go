@@ -8,6 +8,8 @@ import (
 	"fmt"
 	"os"
 	"path/filepath"
+	"reflect"
+	"runtime"
 	"strings"
 	"testing"
 
@@ -145,7 +147,7 @@ func checkGolden(t *testing.T, name, got string) {
 	}
 }
 
-// TestSimulateCoreGolden pins every field of the lockstep core simulator's
+// TestSimulateCoreGolden pins every field of the whole-core simulator's
 // result — cycles, per-tile busy cycles, drain wait, load cycles, stalls,
 // work counts, stage cycles, energy counters — plus digests of the output
 // map and the full trace event stream, so a change to the chain kernel,
@@ -187,4 +189,52 @@ func TestSimulateConvGolden(t *testing.T) {
 		}
 	}
 	checkGolden(t, "simulate_conv.golden", sb.String())
+}
+
+// raceDetector is set under -race (race_test.go). The race detector makes
+// the four scale-64 sim-serve layers cost about 20 s over the three worker
+// counts of TestSimulateCoreWorkerInvariance, so under -race it keeps to
+// the synthetic cases: they drive the same fan-out, per-worker scratches
+// and shared-accumulator locks, and the plain run covers the rest.
+var raceDetector bool
+
+// TestSimulateCoreWorkerInvariance runs the golden cases at GOMAXPROCS 1, 2
+// and 8. SimulateCore fans the stream build and the compute tiles out over
+// that many goroutines; neither its results nor its traces may depend on
+// how many.
+func TestSimulateCoreWorkerInvariance(t *testing.T) {
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(0))
+	type run struct {
+		res    ristretto.CoreSimResult
+		events []ristretto.TraceEvent
+	}
+	var cases []simCase
+	for _, c := range goldenCases() {
+		if !c.serve || !raceDetector {
+			cases = append(cases, c)
+		}
+	}
+	var serial []run
+	for _, procs := range []int{1, 2, 8} {
+		runtime.GOMAXPROCS(procs)
+		for i, c := range cases {
+			tr := &ristretto.MemoryTracer{}
+			cfg := c.core
+			cfg.Trace = tr
+			got := run{ristretto.SimulateCore(c.f, c.w, c.stride, c.pad, cfg), tr.Events}
+			if procs == 1 {
+				serial = append(serial, got)
+				continue
+			}
+			want := serial[i]
+			if !got.res.Output.Equal(want.res.Output) {
+				t.Fatalf("%s: output at GOMAXPROCS %d differs from GOMAXPROCS 1", c.name, procs)
+			}
+			if !reflect.DeepEqual(got, want) {
+				t.Fatalf("%s: GOMAXPROCS %d: cycles=%d busy=%v drain_wait=%d, %d events; GOMAXPROCS 1: cycles=%d busy=%v drain_wait=%d, %d events",
+					c.name, procs, got.res.Cycles, got.res.TileBusy, got.res.DrainWait, len(got.events),
+					want.res.Cycles, want.res.TileBusy, want.res.DrainWait, len(want.events))
+			}
+		}
+	}
 }

@@ -10,7 +10,7 @@ import (
 )
 
 // Integration: a three-layer mini-network runs layer by layer on the
-// lockstep core simulator, with the post-processing unit producing each next
+// whole-core simulator, with the post-processing unit producing each next
 // input — the deepest end-to-end path in the repository. The final tensor
 // must equal the dense reference chain, and the per-layer latencies must be
 // consistent with the accumulated statistics.

@@ -2,6 +2,7 @@ package ristretto
 
 import (
 	"math/rand"
+	"sync"
 	"testing"
 
 	"ristretto/internal/balance"
@@ -13,8 +14,7 @@ import (
 
 // The two cycle simulators model the same microarchitecture at different
 // scopes: SimulateConv sums isolated per-intersection runs, SimulateCore
-// advances every tile in one lockstep loop with load latency and output-port
-// contention. On everything that is scope-independent — work counts, stall
+// runs every tile with load latency and output-port contention. On everything that is scope-independent — work counts, stall
 // definition, crossbar conflicts and buffer traffic — they follow one shared
 // accounting convention and must agree EXACTLY. This suite pins that parity;
 // any divergence is an accounting regression in one of the two.
@@ -119,18 +119,13 @@ func TestTileCoreParityDegenerate(t *testing.T) {
 	}
 }
 
-// runSingleJob drives one handcrafted intersection through the lockstep
-// tile state machine and returns the aggregate result.
+// runSingleJob drives one handcrafted intersection through SimulateCore's
+// per-tile path on a single compute tile and returns the placed result.
 func runSingleJob(job tileJob, cfg TileConfig, loadWidth, drainWidth int) CoreSimResult {
-	var res CoreSimResult
-	res.TileBusy = make([]int64, 1)
-	ct := newCoreTile(cfg.withDefaults(), loadWidth, drainWidth, []tileJob{job}, &traceCtx{cycle: &res.Cycles}, nil, &res)
-	for ct.state != tileIdle {
-		res.Cycles++
-		free := true
-		ct.step(&res, &free)
-	}
-	return res
+	job.mu = new(sync.Mutex)
+	ccfg := CoreSimConfig{Tiles: 1, Tile: cfg, LoadWidth: loadWidth, DrainWidth: drainWidth}.withDefaults()
+	tl := runTile([]tileJob{job}, ccfg, NewTileScratch(), nil)
+	return placeDrains([]tileTimeline{tl}, nil)
 }
 
 // TestDrainPhaseStallsCounted pins the unified stall definition: FIFO
@@ -160,7 +155,7 @@ func TestDrainPhaseStallsCounted(t *testing.T) {
 	if r.StallCycles == 0 {
 		t.Fatalf("drain-phase FIFO back-pressure produced zero StallCycles: stalls after stream consumption are not being counted")
 	}
-	// The same job through the lockstep state machine must report the same
+	// The same job through the core simulator's per-tile path must report the same
 	// stalls (and conflicts) — the unified definition.
 	job := tileJob{acts: acts, weights: weights, tile: tensor.Tile{W: 2, H: 1}, full: tensor.NewOutputMap(1, 1, 2)}
 	cs := runSingleJob(job, cfg, 4, 8)

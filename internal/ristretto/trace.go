@@ -6,14 +6,15 @@ import (
 	"io"
 )
 
-// TraceEvent is one state transition of a compute tile during a lockstep
-// core simulation — the unit of the exported execution trace. Events are
-// emitted on transitions (job/chunk/drain boundaries), not per cycle, so
-// traces stay compact.
+// TraceEvent is one state transition of a compute tile during a core
+// simulation — the unit of the exported execution trace. Events mark
+// transitions (job/chunk/drain boundaries), not cycles, so traces stay
+// compact. A simulation emits them in (Cycle, Tile) order, and one tile's
+// events at one cycle in the order they happened.
 type TraceEvent struct {
 	Cycle  int64  `json:"cycle"`
 	Tile   int    `json:"tile"`
-	Event  string `json:"event"` // job_start, chunk_start, drain_start, drain_end, job_end, tile_done
+	Event  string `json:"event"` // job_start, chunk_start, drain_start, drain_end, tile_done
 	Job    int    `json:"job"`
 	Chunk  int    `json:"chunk,omitempty"`
 	Detail string `json:"detail,omitempty"`
@@ -61,21 +62,3 @@ type MemoryTracer struct {
 
 // Emit appends the event.
 func (t *MemoryTracer) Emit(e TraceEvent) { t.Events = append(t.Events, e) }
-
-// traceCtx is threaded through the core simulation when tracing is enabled.
-type traceCtx struct {
-	tracer Tracer
-	cycle  *int64
-	tile   int
-}
-
-// on reports whether events are recorded; callers check it before
-// formatting an event's detail, so an untraced simulation formats nothing.
-func (c *traceCtx) on() bool { return c != nil && c.tracer != nil }
-
-func (c *traceCtx) emit(event string, job, chunk int, detail string) {
-	if !c.on() {
-		return
-	}
-	c.tracer.Emit(TraceEvent{Cycle: *c.cycle, Tile: c.tile, Event: event, Job: job, Chunk: chunk, Detail: detail})
-}

@@ -25,15 +25,17 @@ func TestMemoryTracerEventStructure(t *testing.T) {
 		t.Fatal("no events traced")
 	}
 	counts := map[string]int{}
-	var lastCycle int64 = -1
+	last := TraceEvent{Cycle: -1}
 	for _, e := range tr.Events {
 		counts[e.Event]++
-		if e.Cycle < lastCycle-1 { // events are near-ordered (tiles interleave within a cycle)
-			t.Fatalf("trace time runs backwards: %d after %d", e.Cycle, lastCycle)
+		// Events come in (cycle, tile) order.
+		if e.Cycle < last.Cycle {
+			t.Fatalf("trace time runs backwards: %d after %d", e.Cycle, last.Cycle)
 		}
-		if e.Cycle > lastCycle {
-			lastCycle = e.Cycle
+		if e.Cycle == last.Cycle && e.Tile < last.Tile {
+			t.Fatalf("cycle %d: tile %d's event after tile %d's", e.Cycle, e.Tile, last.Tile)
 		}
+		last = e
 		if e.Tile < 0 || e.Tile >= 2 {
 			t.Fatalf("bad tile id %d", e.Tile)
 		}

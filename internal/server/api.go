@@ -94,7 +94,7 @@ func (r *ModelRequest) memoKey() string {
 	return "model|" + string(b)
 }
 
-// SimRequest asks the cycle-accurate lockstep core simulator for one layer —
+// SimRequest asks the cycle-accurate whole-core simulator for one layer —
 // the expensive rung. When the circuit breaker is open it is answered by the
 // analytic model instead, flagged degraded.
 type SimRequest struct {

@@ -72,7 +72,7 @@ func simOperands(req *SimRequest) *workload.Gen {
 	return workload.NewGen(workload.DeriveSeed(req.Seed, "serve-sim", req.Net, req.Layer, req.Precision))
 }
 
-// runSimCore answers a sim request with the cycle-accurate lockstep core
+// runSimCore answers a sim request with the cycle-accurate whole-core
 // simulator — the expensive, faithful rung of the degradation ladder.
 func (s *Server) runSimCore(_ context.Context, req *SimRequest) (*SimResponse, error) {
 	bits, _ := precisionBits(req.Precision)
