@@ -104,23 +104,30 @@ func FlattenKernelsDense(w *tensor.KernelStack, c int, outChans []int) []WeightE
 }
 
 func flattenKernels(w *tensor.KernelStack, c int, outChans []int, dense bool) []WeightElem {
+	return appendKernels(nil, w, c, outChans, dense)
+}
+
+// appendKernels appends flattenKernels' elements to dst; nil outChans means
+// every output channel.
+func appendKernels(dst []WeightElem, w *tensor.KernelStack, c int, outChans []int, dense bool) []WeightElem {
+	n := len(outChans)
 	if outChans == nil {
-		outChans = make([]int, w.K)
-		for i := range outChans {
-			outChans[i] = i
-		}
+		n = w.K
 	}
-	var out []WeightElem
-	for _, k := range outChans {
+	for i := 0; i < n; i++ {
+		k := i
+		if outChans != nil {
+			k = outChans[i]
+		}
 		for y := 0; y < w.KH; y++ {
 			for x := 0; x < w.KW; x++ {
 				if v := w.At(k, c, y, x); v != 0 || dense {
-					out = append(out, WeightElem{Val: v, X: uint8(x), Y: uint8(y), K: uint16(k)})
+					dst = append(dst, WeightElem{Val: v, X: uint8(x), Y: uint8(y), K: uint16(k)})
 				}
 			}
 		}
 	}
-	return out
+	return dst
 }
 
 // CompressActs decomposes a flattened activation stream into its non-zero
@@ -180,6 +187,42 @@ func appendActAtoms(dst []ActAtom, v int32, bits int, n atom.Granularity, x, y u
 // channel-first so concurrent products target distinct accumulate banks.
 // Magnitudes use bits-1 bits (sign-magnitude).
 func CompressWeights(elems []WeightElem, bits int, n atom.Granularity, dense bool) []WeightAtom {
+	var b WeightStreamer
+	return b.compress(elems, bits, n, dense)
+}
+
+// WeightStreamer builds static weight streams, reusing its temporaries
+// from call to call: a sweep over a layer's input channels then allocates
+// only the streams it returns. The zero value is ready to use; a streamer
+// is not safe for concurrent use.
+type WeightStreamer struct {
+	elems                []WeightElem
+	tmp                  []atom.Atom
+	sliceCount, sliceOff []int
+	flat, buf            []WeightAtom
+	kCount, kOff         []int32
+	order                []uint16
+}
+
+// Stream returns input channel c's compressed static stream over every
+// output channel, byte-identical to CompressWeights(FlattenKernels(w, c,
+// nil), w.Bits, n, false), or to the FlattenKernelsDense pair when dense is
+// set. The returned slice is freshly allocated.
+func (b *WeightStreamer) Stream(w *tensor.KernelStack, c int, n atom.Granularity, dense bool) []WeightAtom {
+	b.elems = appendKernels(b.elems[:0], w, c, nil, dense)
+	return b.compress(b.elems, w.Bits, n, dense)
+}
+
+// resized returns v resliced to n elements, reallocating only when it is
+// short; the contents are unspecified.
+func resized[T any](v []T, n int) []T {
+	if cap(v) < n {
+		return make([]T, n)
+	}
+	return v[:n]
+}
+
+func (b *WeightStreamer) compress(elems []WeightElem, bits int, n atom.Granularity, dense bool) []WeightAtom {
 	n.Validate()
 	if len(elems) == 0 {
 		return nil
@@ -189,10 +232,11 @@ func CompressWeights(elems []WeightElem, bits int, n atom.Granularity, dense boo
 	// Pass 1: per-slice atom counts and the channel-index bound, so the
 	// grouping below runs over flat scratch arrays instead of per-value
 	// slices and per-channel maps.
-	sliceCount := make([]int, slices+1)
+	sliceCount := resized(b.sliceCount, slices+1)
+	clear(sliceCount)
 	maxK := uint16(0)
 	total := 0
-	var tmp []atom.Atom
+	tmp := b.tmp
 	for _, e := range elems {
 		tmp = weightDigits(tmp[:0], e.Val, bits-1, n, dense)
 		for _, a := range tmp {
@@ -206,14 +250,14 @@ func CompressWeights(elems []WeightElem, bits int, n atom.Granularity, dense boo
 
 	// Pass 2: scatter atoms into slice-major order (stable within a slice,
 	// i.e. elem order — exactly the old bySlice grouping).
-	sliceOff := make([]int, slices+1)
+	sliceOff := resized(b.sliceOff, slices+1)
 	off := 0
 	for s := 0; s <= slices; s++ {
 		sliceOff[s] = off
 		off += sliceCount[s]
 		sliceCount[s] = sliceOff[s] // reuse as write cursor
 	}
-	flat := make([]WeightAtom, total)
+	flat := resized(b.flat, total)
 	for _, e := range elems {
 		sign := e.Val < 0
 		tmp = weightDigits(tmp[:0], e.Val, bits-1, n, dense)
@@ -231,10 +275,11 @@ func CompressWeights(elems []WeightElem, bits int, n atom.Granularity, dense boo
 	// scratch array replaces the old per-channel map, byte-for-byte
 	// preserving the emitted order.
 	out := make([]WeightAtom, 0, total)
-	kCount := make([]int32, int(maxK)+1)
-	kOff := make([]int32, int(maxK)+1)
-	order := make([]uint16, 0, int(maxK)+1)
-	buf := make([]WeightAtom, total)
+	kCount := resized(b.kCount, int(maxK)+1)
+	clear(kCount)
+	kOff := resized(b.kOff, int(maxK)+1)
+	order := resized(b.order, int(maxK)+1)[:0]
+	buf := resized(b.buf, total)
 	for s := 0; s < slices; s++ {
 		seg := flat[sliceOff[s]:sliceOff[s+1]]
 		if len(seg) == 0 {
@@ -275,6 +320,8 @@ func CompressWeights(elems []WeightElem, bits int, n atom.Granularity, dense boo
 			kCount[k] = 0
 		}
 	}
+	b.tmp, b.sliceCount, b.sliceOff, b.flat, b.buf = tmp, sliceCount, sliceOff, flat, buf
+	b.kCount, b.kOff, b.order = kCount, kOff, order
 	return out
 }
 

@@ -57,8 +57,12 @@ func oracleCompressWeights(elems []WeightElem, bits int, n atom.Granularity, den
 	return out
 }
 
+// TestCompressWeightsMatchesOracle also runs every case through one shared
+// WeightStreamer, whose reused temporaries grow and shrink across the
+// cases, and requires its streams to equal CompressWeights'.
 func TestCompressWeightsMatchesOracle(t *testing.T) {
 	rng := rand.New(rand.NewSource(91))
+	var ws WeightStreamer
 	for i := 0; i < 40; i++ {
 		gran := atom.Granularity(rng.Intn(3) + 1)
 		bits := []int{2, 4, 8}[rng.Intn(3)]
@@ -79,6 +83,10 @@ func TestCompressWeightsMatchesOracle(t *testing.T) {
 				if !reflect.DeepEqual(got, want) && !(len(got) == 0 && len(want) == 0) {
 					t.Fatalf("iter %d c=%d dense=%v: stream order diverged from oracle\n got %v\nwant %v",
 						i, c, dense, got, want)
+				}
+				if reused := ws.Stream(w, c, gran, dense); !reflect.DeepEqual(reused, got) {
+					t.Fatalf("iter %d c=%d dense=%v: reused WeightStreamer diverged from CompressWeights\n got %v\nwant %v",
+						i, c, dense, reused, got)
 				}
 			}
 		}
