@@ -183,7 +183,7 @@ func BenchmarkCycleSimTile(b *testing.B) {
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		out := tensor.NewOutputMap(16, 18, 18)
-		ristretto.SimulateIntersection(acts, ws, 3, 3, 16, 16, out, cfg)
+		ristretto.SimulateIntersectionScratch(acts, ws, 3, 3, 16, 16, out, cfg, ristretto.NewTileScratch())
 	}
 }
 

@@ -157,24 +157,6 @@ func CountNonZero(v int32, bits int, n Granularity) int {
 	return cnt
 }
 
-// AtomDensity returns the fraction of non-zero atoms among the atoms of the
-// *non-zero* values in data — the paper's αa/βa statistic. Zero values are
-// excluded (they are handled by value-level density αv/βv).
-func AtomDensity(data []int32, bits int, n Granularity) float64 {
-	total, nz := 0, 0
-	for _, v := range data {
-		if v == 0 {
-			continue
-		}
-		total += n.Count(bits)
-		nz += CountNonZero(v, bits, n)
-	}
-	if total == 0 {
-		return 0
-	}
-	return float64(nz) / float64(total)
-}
-
 // TotalNonZeroAtoms returns the total number of non-zero atoms across data —
 // the stream length after value- and bit-level compression.
 func TotalNonZeroAtoms(data []int32, bits int, n Granularity) int {

@@ -178,15 +178,10 @@ func TestNAFNonAdjacency(t *testing.T) {
 	}
 }
 
-func TestAtomDensity(t *testing.T) {
-	// data: 0 excluded; 1 has 1/4 atoms non-zero at 2-bit over 8 bits;
-	// 0b01010101=85 has 4/4.
+func TestTotalNonZeroAtoms(t *testing.T) {
+	// At 2-bit over 8 bits, 0 has no non-zero atoms, 1 has one and
+	// 0b01010101=85 has four.
 	data := []int32{0, 1, 85}
-	got := AtomDensity(data, 8, 2)
-	want := (1.0 + 4.0) / 8.0
-	if got != want {
-		t.Fatalf("AtomDensity = %v, want %v", got, want)
-	}
 	if TotalNonZeroAtoms(data, 8, 2) != 5 {
 		t.Fatalf("TotalNonZeroAtoms = %d, want 5", TotalNonZeroAtoms(data, 8, 2))
 	}

@@ -70,43 +70,6 @@ func DigitCount(mag uint32, n Granularity) int {
 	return cnt
 }
 
-// AppendDecompose appends the non-zero atoms of v to dst and returns the
-// extended slice — the allocation-free counterpart of Decompose for callers
-// that own a reusable buffer. Panics on the same out-of-range inputs as
-// Decompose.
-func AppendDecompose(dst []Atom, v int32, bits int, n Granularity) []Atom {
-	n.Validate()
-	sign, mag := signMag(v, bits)
-	base := len(dst)
-	if mag < 256 {
-		dst = append(dst, nzDigits[n-1][mag]...)
-	} else {
-		dst = appendDigitsGeneric(dst, mag, bits, n)
-	}
-	if sign {
-		for i := base; i < len(dst); i++ {
-			dst[i].Sign = true
-		}
-	}
-	return dst
-}
-
-// appendDigitsGeneric is the >8-bit fallback digit extractor (Sign unset,
-// Last set on the final appended atom).
-func appendDigitsGeneric(dst []Atom, mag uint32, bits int, n Granularity) []Atom {
-	mask := uint32(1)<<uint(n) - 1
-	base := len(dst)
-	for i := 0; i < n.Count(bits); i++ {
-		if d := uint8((mag >> (uint(i) * uint(n))) & mask); d != 0 {
-			dst = append(dst, Atom{Mag: d, Shift: uint8(i * int(n))})
-		}
-	}
-	if len(dst) > base {
-		dst[len(dst)-1].Last = true
-	}
-	return dst
-}
-
 // signMag splits v into sign and magnitude, enforcing the range contract
 // shared by every decomposition entry point.
 func signMag(v int32, bits int) (bool, uint32) {

@@ -6,9 +6,11 @@ package experiments
 // work. CellKeys enumerates them, CellSpec.Fingerprint turns one (workload
 // config, cell key) pair into a content address for the fleet-wide result
 // cache, RunCellChecked executes a single cell with the same panic/timeout
-// envelope AllChecked gives a full run, and MergeCells reassembles per-cell
-// payloads into the paper-order result list — byte-identical to a serial
-// All() run, which the cross-process determinism suite enforces.
+// envelope AllChecked gives a full run, and DecodeCellPayload turns a
+// cell's payload back into its Results. fleet.Run decodes the payloads in
+// CellKeys order, and TestFleetMatchesSerial (internal/fleet) and
+// TestAllDeterministicAcrossWorkersMultiProcess check that the merged list
+// renders byte-identically to a serial All() run.
 
 import (
 	"crypto/sha256"
@@ -49,8 +51,8 @@ func CellPayloadDigest(fingerprint string, payload []byte) string {
 
 // CellKeys returns every sweep cell key in paper order — the same stable
 // keys the checkpoint journal records. The order is part of the merge
-// contract: MergeCells emits results in this order so a distributed run
-// renders byte-identically to a serial one.
+// contract: fleet.Run merges cell results in this order so a distributed
+// run renders byte-identically to a serial one.
 func CellKeys() []string {
 	var b Bench
 	jobs := (&b).jobs()
@@ -142,25 +144,4 @@ func (b *Bench) RunCellChecked(cell string, opts RunOptions) (json.RawMessage, e
 // checkpoint journal, the cell cache or the wire) back into its Results.
 func DecodeCellPayload(raw json.RawMessage) ([]*Result, error) {
 	return decodeResults(raw)
-}
-
-// MergeCells assembles per-cell payloads into the full paper-order result
-// list: for each key of CellKeys, the payload is decoded and its results
-// appended. The output is bit-identical to a serial All() run over the
-// same workload configuration — the distributed-sweep determinism
-// guarantee. A missing or undecodable cell is an error naming the key.
-func MergeCells(payloads map[string]json.RawMessage) ([]*Result, error) {
-	var out []*Result
-	for _, key := range CellKeys() {
-		raw, ok := payloads[key]
-		if !ok {
-			return nil, fmt.Errorf("experiments: merge missing cell %q", key)
-		}
-		rs, err := decodeResults(raw)
-		if err != nil {
-			return nil, fmt.Errorf("experiments: corrupt payload for cell %q: %w", key, err)
-		}
-		out = append(out, rs...)
-	}
-	return out, nil
 }

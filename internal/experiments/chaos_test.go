@@ -362,7 +362,7 @@ func TestChaosKeepGoingVsStop(t *testing.T) {
 func TestDSECheckpointResume(t *testing.T) {
 	b := chaosBench(1)
 	tiles, mults, grans := []int{8, 16}, []int{8, 16}, []int{1, 2}
-	wantPts, err := b.DesignSpace("AlexNet", "4b", tiles, mults, grans)
+	wantPts, err := b.DesignSpaceOpts(RunOptions{}, "AlexNet", "4b", tiles, mults, grans)
 	if err != nil {
 		t.Fatal(err)
 	}

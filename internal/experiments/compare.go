@@ -89,13 +89,9 @@ func (b *Bench) energyFigure(r *Result, gran atom.Granularity, fn func([]workloa
 
 // Matched configurations of Section V:
 //   - vs Bit Fusion: equal 2-bit multiplier counts — Ristretto 32 tiles × 32
-//     mults vs an 8×8 fusion-unit array (1024 each).
+//     mults (ristretto.DefaultConfig) vs an 8×8 fusion-unit array (1024 each).
 //   - vs Laconic: equal compute area — Ristretto 32 × 16 vs 6×8 PEs × 16.
 //   - vs SparTen: equal peak BitOps/cycle — Ristretto 32 × 16 vs 32 CUs.
-func ristrettoVsBitFusion() ristretto.Config {
-	return ristretto.Config{Tiles: 32, Tile: ristretto.TileConfig{Mults: 32, Gran: 2}, Policy: balance.WeightAct}
-}
-
 func ristrettoVsLaconic() ristretto.Config {
 	return ristretto.Config{Tiles: 32, Tile: ristretto.TileConfig{Mults: 16, Gran: 2}, Policy: balance.WeightAct}
 }
@@ -110,7 +106,7 @@ func (b *Bench) Figure12() *Result {
 		Header: []string{"network", "precision", "Ristretto", "Ristretto-ns", "Bit Fusion"},
 		Notes:  "paper averages: 8.2x / 7.47x / 7.13x / 6.73x at 8/4/2/mixed bits; Ristretto-ns ≈ Bit Fusion",
 	}
-	rcfg := ristrettoVsBitFusion()
+	rcfg := ristretto.DefaultConfig()
 	ris, ns, bf := accel.Must("ristretto"), accel.Must("ristretto-ns"), accel.Must("bitfusion")
 	areaR := energy.RistrettoArea(rcfg.Tiles, rcfg.Tile.Mults, int(rcfg.Tile.Gran)).Total()
 	return b.speedupFigure(r, PrecisionNames, rcfg.Tile.Gran, true, func(stats []workload.LayerStats) []float64 {
@@ -137,7 +133,7 @@ func (b *Bench) Figure13() *Result {
 		Header: []string{"precision", "Ristretto energy", "of which DRAM", "Bit Fusion"},
 		Notes:  "paper: 41.84% / 32.29% / 33.33% / 26.16% of Bit Fusion at 8/4/2/mixed bits",
 	}
-	rcfg := ristrettoVsBitFusion()
+	rcfg := ristretto.DefaultConfig()
 	ris, bf := accel.Must("ristretto"), accel.Must("bitfusion")
 	return b.energyFigure(r, rcfg.Tile.Gran, func(stats []workload.LayerStats) []float64 {
 		er := ris.Energy(rcfg).Split(ris.Estimate(stats, rcfg).Counters)

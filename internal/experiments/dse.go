@@ -25,21 +25,18 @@ type DSEPoint struct {
 	Pareto             bool    // not dominated on (cycles, area, energy)
 }
 
-// DesignSpace sweeps tile count × multipliers per tile × atom granularity
-// for one network/precision, computing cycles, area and energy per point
-// and marking the Pareto frontier — the design-space exploration behind the
-// paper's configuration choices (32 tiles × 32 2-bit multipliers vs Bit
-// Fusion; ×16 for the BitOps-matched comparisons).
-func (b *Bench) DesignSpace(netName, precision string, tiles, mults, grans []int) ([]DSEPoint, error) {
-	return b.DesignSpaceOpts(RunOptions{}, netName, precision, tiles, mults, grans)
-}
-
-// DesignSpaceOpts is DesignSpace under fault tolerance: grid points journal
-// individually to the checkpoint (keyed "g<gran>-t<tiles>-m<mults>"), a
-// resumed sweep recomputes only missing points, and with KeepGoing failed
-// points are excluded from the frontier (never marked Pareto with zeroed
-// figures of merit) while the surviving points plus the aggregated
-// CellErrors are both returned.
+// DesignSpaceOpts sweeps tile count × multipliers per tile × atom
+// granularity for one network/precision, computing cycles, area and energy
+// per point and marking the Pareto frontier — the design-space exploration
+// behind the paper's configuration choices (32 tiles × 32 2-bit multipliers
+// vs Bit Fusion; ×16 for the BitOps-matched comparisons).
+//
+// Under fault tolerance, grid points journal individually to the checkpoint
+// (keyed "g<gran>-t<tiles>-m<mults>"), a resumed sweep recomputes only
+// missing points, and with KeepGoing failed points are excluded from the
+// frontier (never marked Pareto with zeroed figures of merit) while the
+// surviving points plus the aggregated CellErrors are both returned.
+// RunOptions{} runs the plain sweep.
 func (b *Bench) DesignSpaceOpts(opts RunOptions, netName, precision string, tiles, mults, grans []int) ([]DSEPoint, error) {
 	var net *model.Network
 	for _, n := range b.Networks() {
@@ -168,14 +165,9 @@ func markPareto(points []DSEPoint) {
 	}
 }
 
-// DSETable renders a design-space sweep as a Result.
-func (b *Bench) DSETable(netName, precision string, tiles, mults, grans []int) (*Result, error) {
-	return b.DSETableOpts(RunOptions{}, netName, precision, tiles, mults, grans)
-}
-
-// DSETableOpts is DSETable under fault tolerance. With KeepGoing, cell
-// failures do not abort the sweep: the surviving frontier is rendered and
-// the aggregated failure is recorded on the Result's Err field.
+// DSETableOpts renders a design-space sweep as a Result. With KeepGoing,
+// cell failures do not abort the sweep: the surviving frontier is rendered
+// and the aggregated failure is recorded on the Result's Err field.
 func (b *Bench) DSETableOpts(opts RunOptions, netName, precision string, tiles, mults, grans []int) (*Result, error) {
 	points, err := b.DesignSpaceOpts(opts, netName, precision, tiles, mults, grans)
 	if err != nil && points == nil {

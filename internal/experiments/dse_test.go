@@ -6,7 +6,7 @@ func dsePoints(t *testing.T) []DSEPoint {
 	t.Helper()
 	b := NewQuickBench(1, 8)
 	b.Nets = []string{"AlexNet"}
-	points, err := b.DesignSpace("AlexNet", "4b", []int{8, 32}, []int{8, 32}, []int{1, 2, 3})
+	points, err := b.DesignSpaceOpts(RunOptions{}, "AlexNet", "4b", []int{8, 32}, []int{8, 32}, []int{1, 2, 3})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -81,11 +81,11 @@ func TestDesignSpaceSortedByPerfPerArea(t *testing.T) {
 func TestDSETableAndUnknownNetwork(t *testing.T) {
 	b := NewQuickBench(1, 8)
 	b.Nets = []string{"AlexNet"}
-	r, err := b.DSETable("AlexNet", "4b", []int{8}, []int{8}, []int{2})
+	r, err := b.DSETableOpts(RunOptions{}, "AlexNet", "4b", []int{8}, []int{8}, []int{2})
 	if err != nil || len(r.Rows) != 1 {
-		t.Fatalf("DSETable: %v, %d rows", err, len(r.Rows))
+		t.Fatalf("DSETableOpts: %v, %d rows", err, len(r.Rows))
 	}
-	if _, err := b.DesignSpace("LeNet", "4b", []int{8}, []int{8}, []int{2}); err == nil {
+	if _, err := b.DesignSpaceOpts(RunOptions{}, "LeNet", "4b", []int{8}, []int{8}, []int{2}); err == nil {
 		t.Fatal("unknown network accepted")
 	}
 }

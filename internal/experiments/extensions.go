@@ -75,7 +75,7 @@ func (b *Bench) ExtStride() *Result {
 		Header: []string{"network", "naive cycles", "phase cycles", "phase speedup"},
 		Notes:  "the naive mode follows Section IV-C3 literally; strided layers pay up to stride^2",
 	}
-	base := ristrettoVsBitFusion()
+	base := ristretto.DefaultConfig()
 	naive := base
 	naive.NaiveStride = true
 	nets := b.Networks()
@@ -194,7 +194,7 @@ func (b *Bench) ExtBalancingNetworks() *Result {
 		Title:  "network cycles by balancing policy (4-bit models), normalized to no balancing",
 		Header: []string{"network", "no balancing", "w balancing", "w/a balancing"},
 	}
-	base := ristrettoVsBitFusion()
+	base := ristretto.DefaultConfig()
 	nets := b.Networks()
 	cells, err := mapCells(b, len(nets), func(i int) ([3]int64, error) {
 		stats := b.Stats(nets[i], "4b", base.Tile.Gran)
@@ -230,7 +230,7 @@ func (b *Bench) ExtMultiCore() *Result {
 	stats := b.Stats(n, "4b", 2)
 	tileCounts := []int{32, 64, 128, 256}
 	cycles, err := mapCells(b, len(tileCounts), func(i int) (int64, error) {
-		cfg := ristrettoVsBitFusion()
+		cfg := ristretto.DefaultConfig()
 		cfg.Tiles = tileCounts[i]
 		return ristretto.EstimateNetwork(stats, cfg).Cycles, nil
 	})

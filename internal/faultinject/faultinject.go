@@ -169,9 +169,6 @@ func New(spec Spec) *Schedule {
 // hard-kill chaos tests.
 func (s *Schedule) OnKill(fn func()) { s.onKill.Store(&fn) }
 
-// Entered reports how many cell attempts the schedule has seen.
-func (s *Schedule) Entered() int { return int(s.entered.Load()) }
-
 // Hook returns the runner fault hook implementing the schedule, or nil
 // when the spec injects nothing.
 func (s *Schedule) Hook() func(cell, attempt int) error {

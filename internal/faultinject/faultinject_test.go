@@ -125,8 +125,8 @@ func TestKillAfterFiresOnce(t *testing.T) {
 	if fired != 1 {
 		t.Fatalf("kill fired %d times, want exactly once", fired)
 	}
-	if s.Entered() != 50 {
-		t.Fatalf("Entered = %d, want 50", s.Entered())
+	if n := s.entered.Load(); n != 50 {
+		t.Fatalf("entered = %d, want 50", n)
 	}
 }
 

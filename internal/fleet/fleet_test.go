@@ -194,12 +194,9 @@ func TestFleetCacheWarm(t *testing.T) {
 	if render(warm) != render(cold) || render(warm) != serialGolden() {
 		t.Fatal("cache-warm output differs from cold/serial run")
 	}
-	if warmRep.LocalCacheHits != warmRep.Cells || warmRep.Computed != 0 {
+	if warmRep.Cells == 0 || warmRep.LocalCacheHits != warmRep.Cells || warmRep.Computed != 0 {
 		t.Fatalf("warm run: %d/%d cache hits, %d computed; want all/0",
 			warmRep.LocalCacheHits, warmRep.Cells, warmRep.Computed)
-	}
-	if warmRep.CacheHitRate() < 0.9 {
-		t.Fatalf("warm hit rate %.2f below the 0.9 gate", warmRep.CacheHitRate())
 	}
 }
 

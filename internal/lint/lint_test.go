@@ -1,5 +1,6 @@
 // Package lint holds repository-hygiene tests: godoc coverage of the
-// internal packages and intra-repo markdown link integrity. CI runs them
+// internal packages, intra-repo markdown link integrity, one durable-record
+// framing, and no exported identifier that only tests call. CI runs them
 // both through the normal test sweep and as a dedicated docs job; they use
 // only go/parser and the filesystem, so there is nothing to install.
 package lint
@@ -99,22 +100,7 @@ func TestPackageDocs(t *testing.T) {
 // exportedReceiver reports whether a method's receiver type is exported
 // (methods on unexported types are not part of the package API).
 func exportedReceiver(fd *ast.FuncDecl) bool {
-	if fd.Recv == nil || len(fd.Recv.List) == 0 {
-		return true
-	}
-	typ := fd.Recv.List[0].Type
-	for {
-		switch x := typ.(type) {
-		case *ast.StarExpr:
-			typ = x.X
-		case *ast.IndexExpr: // generic receiver
-			typ = x.X
-		case *ast.Ident:
-			return ast.IsExported(x.Name)
-		default:
-			return true
-		}
-	}
+	return fd.Recv == nil || ast.IsExported(strings.TrimPrefix(receiverName(fd), "*"))
 }
 
 // TestExportedDocComments requires doc comments on every exported

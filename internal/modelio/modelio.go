@@ -28,7 +28,6 @@ const (
 
 	kindFeatureMap  = 1
 	kindKernelStack = 2
-	kindOutputMap   = 3
 )
 
 type header struct {
@@ -144,22 +143,6 @@ func ReadKernelStack(r io.Reader) (*tensor.KernelStack, error) {
 	k := tensor.NewKernelStack(int(h.Dims[0]), int(h.Dims[1]), int(h.Dims[2]), int(h.Dims[3]), int(h.Bits))
 	copy(k.Data, data)
 	return k, nil
-}
-
-// WriteOutputMap serializes o.
-func WriteOutputMap(w io.Writer, o *tensor.OutputMap) error {
-	return writeAll(w, kindOutputMap, 32, [4]uint32{uint32(o.K), uint32(o.H), uint32(o.W), 1}, o.Data)
-}
-
-// ReadOutputMap deserializes an output map.
-func ReadOutputMap(r io.Reader) (*tensor.OutputMap, error) {
-	h, data, err := readAll(r, kindOutputMap)
-	if err != nil {
-		return nil, err
-	}
-	o := tensor.NewOutputMap(int(h.Dims[0]), int(h.Dims[1]), int(h.Dims[2]))
-	copy(o.Data, data)
-	return o, nil
 }
 
 // SaveFeatureMap writes f to path.

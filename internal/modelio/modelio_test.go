@@ -9,7 +9,6 @@ import (
 	"strings"
 	"testing"
 
-	"ristretto/internal/tensor"
 	"ristretto/internal/workload"
 )
 
@@ -52,23 +51,6 @@ func TestKernelStackRoundTrip(t *testing.T) {
 		if got.Data[i] != k.Data[i] {
 			t.Fatalf("data mismatch at %d (negative values must survive)", i)
 		}
-	}
-}
-
-func TestOutputMapRoundTrip(t *testing.T) {
-	o := tensor.NewOutputMap(2, 3, 3)
-	o.Set(0, 0, 0, -123456)
-	o.Set(1, 2, 2, 1<<30)
-	var buf bytes.Buffer
-	if err := WriteOutputMap(&buf, o); err != nil {
-		t.Fatal(err)
-	}
-	got, err := ReadOutputMap(&buf)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !got.Equal(o) {
-		t.Fatal("output map round trip failed")
 	}
 }
 

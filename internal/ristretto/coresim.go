@@ -46,8 +46,9 @@ import (
 // weight buffer is charged len(chunk) bytes at every chunk start; a drain
 // charges a 4 B accumulate-buffer read plus a 4 B output-buffer write per
 // drained entry. On those counters — and on Products/Deliveries/Conflicts —
-// SimulateCore agrees exactly with the sum of SimulateIntersection results
-// over the same jobs (pinned by the parity suite in simparity_test.go).
+// SimulateCore agrees exactly with the sum of SimulateIntersectionScratch
+// results over the same jobs (pinned by the parity suite in
+// simparity_test.go).
 
 // CoreSimConfig extends the tile configuration with core-level parameters.
 type CoreSimConfig struct {

@@ -86,7 +86,7 @@ func goldenCases() []simCase {
 		synthCase("load1_drain2_depth7_3b", 8, 5, 6, 6, 6, 3, 3, 3, 2, 1, 1, cc{Tiles: 4, Tile: tc{Mults: 8, FIFODepth: 7}, LoadWidth: 1, DrainWidth: 2, Policy: balance.WeightAct}),
 		synthCase("load3_drain1_single_k", 9, 4, 7, 7, 1, 3, 8, 8, 2, 1, 1, cc{Tiles: 2, Tile: tc{Mults: 16, FIFODepth: 1}, LoadWidth: 3, DrainWidth: 1}),
 		synthCase("tile1x1_pointwise", 10, 3, 5, 4, 7, 1, 8, 4, 3, 1, 0, cc{Tiles: 2, Tile: tc{Mults: 5, FIFODepth: 2}, TileW: 1, TileH: 1, Policy: balance.WeightAct}),
-		synthCase("banks_depth4_7b", 11, 3, 6, 8, 5, 3, 7, 7, 2, 1, 1, cc{Tiles: 3, Tile: tc{Mults: 24, FIFODepth: 4, Banks: 8}, TileW: 5, TileH: 4, LoadWidth: 2, DrainWidth: 16}),
+		synthCase("banks_depth4_7b", 11, 3, 6, 8, 5, 3, 7, 7, 2, 1, 1, cc{Tiles: 3, Tile: tc{Mults: 24, FIFODepth: 4}, TileW: 5, TileH: 4, LoadWidth: 2, DrainWidth: 16}),
 	}
 	serve := []struct {
 		net, layer, prec string

@@ -16,7 +16,6 @@ type PipelineLayer struct {
 // PipelineResult reports an end-to-end run.
 type PipelineResult struct {
 	Output    *tensor.FeatureMap // final post-processed activations
-	Raw       *tensor.OutputMap  // final pre-activation partial sums
 	Stats     []core.Stats       // per-layer CSC statistics
 	AtomStats [][]int            // per-layer per-output-channel atom counts (PPU scan)
 }
@@ -30,21 +29,12 @@ type PipelineResult struct {
 func RunPipeline(input *tensor.FeatureMap, layers []PipelineLayer, cfg core.Config) PipelineResult {
 	var res PipelineResult
 	cur := input
-	var raw *tensor.OutputMap
-	for i, l := range layers {
+	for _, l := range layers {
 		out, st := core.Convolve(cur, l.Kernels, l.Stride, l.Pad, cfg)
-		res.Stats = append(res.Stats, st)
-		raw = out
-		if i == len(layers)-1 {
-			fm, counts := l.Post.Run(out)
-			res.Output = fm
-			res.AtomStats = append(res.AtomStats, counts)
-			break
-		}
 		fm, counts := l.Post.Run(out)
+		res.Stats = append(res.Stats, st)
 		res.AtomStats = append(res.AtomStats, counts)
-		cur = fm
+		res.Output, cur = fm, fm
 	}
-	res.Raw = raw
 	return res
 }

@@ -78,7 +78,7 @@ func TestCycleCountMatchesSliceAlignedPredictor(t *testing.T) {
 	acts := core.CompressActs(core.FlattenTile(f, 0, tensor.Tile{W: 6, H: 6}), 8, 2, false)
 	ws := core.CompressWeights(core.FlattenKernels(w, 0, nil), 8, 2, false)
 	out := tensor.NewOutputMap(16, 6, 6)
-	r := SimulateIntersection(acts, ws, 1, 1, 6, 6, out, TileConfig{Mults: 8, Gran: 2, FIFODepth: 4})
+	r := SimulateIntersectionScratch(acts, ws, 1, 1, 6, 6, out, TileConfig{Mults: 8, Gran: 2, FIFODepth: 4}, NewTileScratch())
 	if r.StallCycles != 0 {
 		t.Fatalf("unexpected stalls: %d", r.StallCycles)
 	}
@@ -113,7 +113,7 @@ func TestBankContentionStalls(t *testing.T) {
 	acts := core.CompressActs(core.FlattenTile(f, 0, tensor.Tile{W: 8, H: 8}), 2, 2, false)
 	ws := core.CompressWeights(core.FlattenKernels(w, 0, nil), 8, 2, false)
 	out := tensor.NewOutputMap(1, 10, 10)
-	r := SimulateIntersection(acts, ws, 3, 3, 8, 8, out, TileConfig{Mults: 8, Gran: 2, FIFODepth: 2})
+	r := SimulateIntersectionScratch(acts, ws, 3, 3, 8, 8, out, TileConfig{Mults: 8, Gran: 2, FIFODepth: 2}, NewTileScratch())
 	if r.StallCycles == 0 {
 		t.Fatal("expected crossbar stalls with a single output channel")
 	}

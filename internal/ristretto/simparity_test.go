@@ -148,7 +148,7 @@ func TestDrainPhaseStallsCounted(t *testing.T) {
 	}
 	cfg := TileConfig{Mults: 4, Gran: 2, FIFODepth: 1}
 	out := tensor.NewOutputMap(1, 1, 2)
-	r := SimulateIntersection(acts, weights, 1, 1, 2, 1, out, cfg)
+	r := SimulateIntersectionScratch(acts, weights, 1, 1, 2, 1, out, cfg, NewTileScratch())
 	if r.Conflicts == 0 {
 		t.Fatalf("crafted stream produced no crossbar conflicts")
 	}
@@ -230,7 +230,7 @@ func TestScratchReuseIsClean(t *testing.T) {
 	reused := tensor.NewOutputMap(w2.K, f2.H+w2.KH-1, f2.W+w2.KW-1)
 	rReused := SimulateIntersectionScratch(a2, s2, w2.KH, w2.KW, f2.W, f2.H, reused, cfg, s)
 	fresh := tensor.NewOutputMap(w2.K, f2.H+w2.KH-1, f2.W+w2.KW-1)
-	rFresh := SimulateIntersection(a2, s2, w2.KH, w2.KW, f2.W, f2.H, fresh, cfg)
+	rFresh := SimulateIntersectionScratch(a2, s2, w2.KH, w2.KW, f2.W, f2.H, fresh, cfg, NewTileScratch())
 
 	if rReused != rFresh {
 		t.Fatalf("scratch reuse changed the result:\nreused %+v\nfresh  %+v", rReused, rFresh)

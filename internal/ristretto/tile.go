@@ -22,7 +22,6 @@ type TileConfig struct {
 	Mults     int              // N: atom multipliers / static-stream slots
 	Gran      atom.Granularity // atom bit-width
 	FIFODepth int              // Atomulator FIFO depth before the crossbar
-	Banks     int              // accumulate-buffer banks (default: Mults)
 }
 
 func (c TileConfig) withDefaults() TileConfig {
@@ -34,9 +33,6 @@ func (c TileConfig) withDefaults() TileConfig {
 	}
 	if c.FIFODepth == 0 {
 		c.FIFODepth = 4
-	}
-	if c.Banks == 0 {
-		c.Banks = c.Mults
 	}
 	return c
 }
@@ -362,27 +358,22 @@ func (s *TileScratch) drainBanks(dst []int32, shift uint8, acc *energy.Counters)
 	return n
 }
 
-// SimulateIntersection runs one (input channel, spatial tile) intersection on
-// the cycle-level tile model: the weight atom stream is split into static
-// chunks that never straddle a slice boundary (so every accumulate-bank drain
-// has a single decoupled shift); for each chunk the activation stream flows
-// through the systolic multiplier chain one atom per cycle; accumulator
-// deliveries are routed through per-slot FIFOs and a crossbar that accepts
-// one write per bank per cycle, stalling the pipeline on back-pressure.
+// SimulateIntersectionScratch runs one (input channel, spatial tile)
+// intersection on the cycle-level tile model: the weight atom stream is
+// split into static chunks that never straddle a slice boundary (so every
+// accumulate-bank drain has a single decoupled shift); for each chunk the
+// activation stream flows through the systolic multiplier chain one atom per
+// cycle; accumulator deliveries are routed through per-slot FIFOs and a
+// crossbar that accepts one write per bank per cycle, stalling the pipeline
+// on back-pressure.
 //
 // Numerical results accumulate into out (the K×fullH×fullW full-convolution
 // buffer); cycle accounting credits the ping-pong weight registers: a
 // non-final round costs t (+stalls) cycles because its drain overlaps the
 // next round's fill (Eq. 3/4).
 //
-// This wrapper allocates a fresh TileScratch; sweeps should use
-// SimulateIntersectionScratch with a reused one.
-func SimulateIntersection(acts []core.ActAtom, weights []core.WeightAtom, kh, kw, tileW, tileH int, out *tensor.OutputMap, cfg TileConfig) TileResult {
-	return SimulateIntersectionScratch(acts, weights, kh, kw, tileW, tileH, out, cfg, NewTileScratch())
-}
-
-// SimulateIntersectionScratch is SimulateIntersection with caller-owned
-// scratch: across a sweep the hot loop performs no heap allocation at all.
+// s is caller-owned scratch (NewTileScratch): reused across a sweep, the
+// hot loop performs no heap allocation at all.
 func SimulateIntersectionScratch(acts []core.ActAtom, weights []core.WeightAtom, kh, kw, tileW, tileH int, out *tensor.OutputMap, cfg TileConfig, s *TileScratch) TileResult {
 	cfg = cfg.withDefaults()
 	fullW, fullH := tileW+kw-1, tileH+kh-1
@@ -473,8 +464,8 @@ func classifyStages(sc *telemetry.StageCycles, fed, multed, advance, hadInput, p
 }
 
 // SliceAlignedSteps predicts the stall-free cycle count of
-// SimulateIntersection: like core.Steps (Eq. 3/4) but with rounds that never
-// straddle weight-slice boundaries.
+// SimulateIntersectionScratch: like core.Steps (Eq. 3/4) but with rounds
+// that never straddle weight-slice boundaries.
 func SliceAlignedSteps(t int, weights []core.WeightAtom, n int) int64 {
 	if t == 0 || len(weights) == 0 {
 		return 0

@@ -155,8 +155,8 @@ func TestBreakerDegradesToAnalytic(t *testing.T) {
 	if sr.Cycles <= 0 {
 		t.Fatalf("degraded answer has no estimate: %+v", sr)
 	}
-	if !s.BreakerOpen() || s.brk.Trips() < 1 {
-		t.Fatalf("breaker open=%v trips=%d, want open with >= 1 trip", s.BreakerOpen(), s.brk.Trips())
+	if !s.brk.open() || s.brk.Trips() < 1 {
+		t.Fatalf("breaker open=%v trips=%d, want open with >= 1 trip", s.brk.open(), s.brk.Trips())
 	}
 	if got := s.degraded.Load(); got < 1 {
 		t.Fatalf("degraded counter = %d, want >= 1", got)
@@ -198,8 +198,8 @@ func TestGracefulDrain(t *testing.T) {
 	time.Sleep(50 * time.Millisecond) // request is now inside its 200ms delay
 
 	s.StartDrain()
-	if !s.Draining() {
-		t.Fatal("Draining() false after StartDrain")
+	if !s.draining.Load() {
+		t.Fatal("draining false after StartDrain")
 	}
 	resp, err := http.Get(base + "/readyz")
 	if err != nil {

@@ -314,14 +314,8 @@ func (s *Server) Handler() http.Handler {
 // caller (http.Server.Shutdown), which also waits for in-flight requests.
 func (s *Server) StartDrain() { s.draining.Store(true) }
 
-// Draining reports whether StartDrain has been called.
-func (s *Server) Draining() bool { return s.draining.Load() }
-
 // QueueDepth reports queued + in-flight compute requests.
 func (s *Server) QueueDepth() int64 { return s.adm.depth() }
-
-// BreakerOpen reports whether sim requests currently degrade.
-func (s *Server) BreakerOpen() bool { return s.brk.open() }
 
 func (s *Server) handleHealthz(w http.ResponseWriter, r *http.Request) {
 	writeJSON(w, http.StatusOK, map[string]string{"status": "ok"})

@@ -131,21 +131,3 @@ func AppendMaskWords(dst []uint64, v []int32) []uint64 {
 	}
 	return dst
 }
-
-// NextNonZero returns the position of the first set bit at or after pos in
-// the mask words, or n if there is none — the priority-encoder primitive
-// over AppendMaskWords output.
-func NextNonZero(mask []uint64, pos, n int) int {
-	for pos < n {
-		w := mask[pos/64] >> uint(pos%64)
-		if w != 0 {
-			pos += bits.TrailingZeros64(w)
-			if pos >= n {
-				return n
-			}
-			return pos
-		}
-		pos = (pos/64 + 1) * 64
-	}
-	return n
-}

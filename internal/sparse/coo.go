@@ -90,65 +90,3 @@ func coordBits(n int) int {
 	}
 	return b
 }
-
-// KernelCOOEntry is one non-zero weight with kernel-space coordinates, its
-// input channel, and the output channel (feature map) it contributes to.
-type KernelCOOEntry struct {
-	X, Y uint8  // position within the k×k kernel window
-	C    uint16 // input channel
-	K    uint16 // output channel
-	Val  int32
-}
-
-// KernelCOO encodes the non-zero weights of a set of kernels in COO form.
-// Weight compression happens offline (weights are fixed after training), so
-// the encoder also strips zero atoms later in the pipeline.
-type KernelCOO struct {
-	KH, KW  int
-	Bits    int
-	Entries []KernelCOOEntry
-}
-
-// EncodeKernels extracts all non-zero weights of the given output channels
-// (nil = all), ordered (k, c, y, x) — channel-first within a kernel window,
-// matching Ristretto's weight-buffer layout.
-func EncodeKernels(w *tensor.KernelStack, outChans []int) *KernelCOO {
-	if outChans == nil {
-		outChans = make([]int, w.K)
-		for i := range outChans {
-			outChans[i] = i
-		}
-	}
-	kc := &KernelCOO{KH: w.KH, KW: w.KW, Bits: w.Bits}
-	for _, k := range outChans {
-		for c := 0; c < w.C; c++ {
-			for y := 0; y < w.KH; y++ {
-				for x := 0; x < w.KW; x++ {
-					v := w.At(k, c, y, x)
-					if v != 0 {
-						kc.Entries = append(kc.Entries, KernelCOOEntry{
-							X: uint8(x), Y: uint8(y), C: uint16(c), K: uint16(k), Val: v,
-						})
-					}
-				}
-			}
-		}
-	}
-	return kc
-}
-
-// Decode scatters the weights into dst.
-func (kc *KernelCOO) Decode(dst *tensor.KernelStack) {
-	for _, e := range kc.Entries {
-		dst.Set(int(e.K), int(e.C), int(e.Y), int(e.X), e.Val)
-	}
-}
-
-// NNZ returns the number of encoded non-zero weights.
-func (kc *KernelCOO) NNZ() int { return len(kc.Entries) }
-
-// SizeBits returns the encoded size: value payload, 4+4 bits of kernel-window
-// coordinates (kernels are at most 11×11), and 16+16 bits of channel indices.
-func (kc *KernelCOO) SizeBits() int {
-	return 16 + len(kc.Entries)*(kc.Bits+4+4+16+16)
-}

@@ -61,38 +61,6 @@ func TestTileCOOSize(t *testing.T) {
 	}
 }
 
-func TestKernelCOORoundTrip(t *testing.T) {
-	rng := rand.New(rand.NewSource(2))
-	w := tensor.NewKernelStack(4, 3, 3, 3, 4)
-	for i := range w.Data {
-		if rng.Float64() < 0.5 {
-			w.Data[i] = int32(rng.Intn(15) - 7)
-		}
-	}
-	enc := EncodeKernels(w, nil)
-	got := tensor.NewKernelStack(4, 3, 3, 3, 4)
-	enc.Decode(got)
-	for i := range w.Data {
-		if got.Data[i] != w.Data[i] {
-			t.Fatalf("kernel COO round trip mismatch at %d", i)
-		}
-	}
-	if enc.NNZ() != w.NonZero() {
-		t.Fatalf("NNZ %d != %d", enc.NNZ(), w.NonZero())
-	}
-}
-
-func TestKernelCOOSubset(t *testing.T) {
-	w := tensor.NewKernelStack(4, 1, 1, 1, 8)
-	for k := 0; k < 4; k++ {
-		w.Set(k, 0, 0, 0, int32(k+1))
-	}
-	enc := EncodeKernels(w, []int{1, 3})
-	if enc.NNZ() != 2 || enc.Entries[0].K != 1 || enc.Entries[1].K != 3 {
-		t.Fatalf("subset encode wrong: %+v", enc.Entries)
-	}
-}
-
 func TestBitmapRoundTripProperty(t *testing.T) {
 	f := func(seed int64, n8 uint8) bool {
 		rng := rand.New(rand.NewSource(seed))

@@ -8,10 +8,7 @@
 // many atoms a value may contain.
 package tensor
 
-import (
-	"fmt"
-	"math"
-)
+import "fmt"
 
 // FeatureMap is a C×H×W activation tensor. Values are unsigned (post-ReLU)
 // and bounded by Bits, i.e. 0 <= v < 1<<Bits.
@@ -197,18 +194,4 @@ func nonZero(data []int32) int {
 		}
 	}
 	return n
-}
-
-// Histogram returns counts of |v| over a slice; index 0 counts zeros. The
-// histogram is used by the distribution-based baseline performance models.
-func Histogram(data []int32, maxAbs int) []int {
-	h := make([]int, maxAbs+1)
-	for _, v := range data {
-		a := int(math.Abs(float64(v)))
-		if a > maxAbs {
-			a = maxAbs
-		}
-		h[a]++
-	}
-	return h
 }

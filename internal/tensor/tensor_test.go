@@ -153,13 +153,6 @@ func TestConvOutSize(t *testing.T) {
 	}
 }
 
-func TestHistogram(t *testing.T) {
-	h := Histogram([]int32{0, 1, -1, 3, 300}, 8)
-	if h[0] != 1 || h[1] != 2 || h[3] != 1 || h[8] != 1 {
-		t.Fatalf("Histogram = %v", h)
-	}
-}
-
 func TestStringSummaries(t *testing.T) {
 	f := NewFeatureMap(1, 2, 2, 8)
 	f.Set(0, 0, 0, 1)

@@ -100,12 +100,6 @@ func (g *Gen) NetworkStats(n *model.Network, p model.Precision, gran atom.Granul
 	return out
 }
 
-// TotalActAtoms returns the total non-zero activation atoms (T in Eq. 5).
-func (s *LayerStats) TotalActAtoms() int { return s.A.NonZeroAtoms }
-
-// TotalWAtoms returns the total non-zero weight atoms (S summed over chans).
-func (s *LayerStats) TotalWAtoms() int { return s.W.NonZeroAtoms }
-
 // meter accumulates LayerStats from magnitude histograms and weight codes.
 // LayerStats and StatsFromTensors both measure through it, so the drawn and
 // the materialized path share every counting rule.
