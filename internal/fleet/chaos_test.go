@@ -14,6 +14,7 @@ import (
 	"net/http"
 	"os"
 	"os/exec"
+	"reflect"
 	"strings"
 	"syscall"
 	"testing"
@@ -219,9 +220,9 @@ func TestFleetRemotePanicReproducesLocally(t *testing.T) {
 		t.Fatal("local replay not classified as a panic")
 	}
 
-	// The placeholder Result in the merged output mirrors a local
-	// keep-going run's shape for the same cell.
-	if rs[0].ID != "Job "+out.Cell || rs[0].Err == nil {
-		t.Fatalf("placeholder result %+v does not carry the failure", rs[0])
+	// The placeholder Result in the merged output is the one a local
+	// keep-going run builds for the same cell and error.
+	if want := experiments.FailedCell(out.Cell, ce); !reflect.DeepEqual(rs[0], want) {
+		t.Fatalf("placeholder result %+v, want %+v", rs[0], want)
 	}
 }
