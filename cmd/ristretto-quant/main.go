@@ -12,7 +12,6 @@ package main
 import (
 	"flag"
 	"fmt"
-	"math/rand"
 	"os"
 
 	"ristretto/internal/atom"
@@ -47,34 +46,19 @@ func main() {
 		fatal(fmt.Errorf("invalid -prune-a %v: must be in [0, 1]", *pruneA))
 	}
 
-	rng := rand.New(rand.NewSource(*seed))
-	raw := make([]float64, *n)
-	for i := range raw {
-		raw[i] = rng.NormFloat64()
-	}
-	g := atom.Granularity(*gran)
-
 	fmt.Printf("%4s  %-10s %14s %14s %14s %14s\n", "bits", "operand", "value sparsity", "atom density", "atoms/value", "stream vs dense")
-	for _, bits := range []int{8, 6, 4, 2} {
-		w := quant.QuantizeSigned(raw, 1, quant.Config{Bits: bits, ClipSigma: quant.DefaultWeightClip(bits)})
-		a := quant.QuantizeUnsigned(raw, 1, quant.Config{Bits: bits, ClipSigma: quant.DefaultActClip(bits)})
-		if *pruneW > 0 {
-			quant.PruneToDensity(w, *pruneW)
-		}
-		if *pruneA > 0 {
-			quant.PruneToDensity(a, *pruneA)
-		}
+	for _, row := range quant.Sweep(*n, *seed, []int{8, 6, 4, 2}, atom.Granularity(*gran), *pruneW, *pruneA) {
 		for _, op := range []struct {
 			name string
-			data []int32
-		}{{"weight", w}, {"activation", a}} {
-			s := quant.Measure(op.data, bits, g)
+			s    quant.Stats
+		}{{"weight", row.Weights}, {"activation", row.Acts}} {
+			s := op.s
 			atomsPerVal := 0.0
 			if s.NonZero > 0 {
 				atomsPerVal = float64(s.NonZeroAtoms) / float64(s.NonZero)
 			}
 			fmt.Printf("%4d  %-10s %13.2f%% %13.2f%% %14.2f %13.2f%%\n",
-				bits, op.name, 100*s.Sparsity(), 100*s.AtomDensity, atomsPerVal,
+				row.Bits, op.name, 100*s.Sparsity(), 100*s.AtomDensity, atomsPerVal,
 				100*float64(s.NonZeroAtoms)/float64(s.DenseAtoms))
 		}
 	}

@@ -7,7 +7,6 @@ package server
 
 import (
 	"context"
-	"math/rand"
 
 	"ristretto/internal/accel"
 	"ristretto/internal/atom"
@@ -143,31 +142,16 @@ func (s *Server) runSimAnalytic(_ context.Context, req *SimRequest) (*SimRespons
 // runQuant answers a quant request with the statistical quantization sweep
 // behind Figure 1 (see cmd/ristretto-quant).
 func (s *Server) runQuant(_ context.Context, req *QuantRequest) (*QuantResponse, error) {
-	rng := rand.New(rand.NewSource(req.Seed))
-	raw := make([]float64, req.N)
-	for i := range raw {
-		raw[i] = rng.NormFloat64()
-	}
-	g := atom.Granularity(req.Gran)
 	resp := &QuantResponse{N: req.N, Gran: req.Gran}
-	for _, bits := range req.Bits {
-		w := quant.QuantizeSigned(raw, 1, quant.Config{Bits: bits, ClipSigma: quant.DefaultWeightClip(bits)})
-		a := quant.QuantizeUnsigned(raw, 1, quant.Config{Bits: bits, ClipSigma: quant.DefaultActClip(bits)})
-		if req.PruneW > 0 {
-			quant.PruneToDensity(w, req.PruneW)
-		}
-		if req.PruneA > 0 {
-			quant.PruneToDensity(a, req.PruneA)
-		}
-		ws := quant.Measure(w, bits, g)
-		as := quant.Measure(a, bits, g)
-		resp.Rows = append(resp.Rows, QuantRow{
-			Bits:    bits,
-			Weights: QuantStats{ValueDensity: ws.ValueDensity, AtomDensity: ws.AtomDensity, StreamAtoms: ws.NonZeroAtoms, DenseAtoms: ws.DenseAtoms},
-			Acts:    QuantStats{ValueDensity: as.ValueDensity, AtomDensity: as.AtomDensity, StreamAtoms: as.NonZeroAtoms, DenseAtoms: as.DenseAtoms},
-		})
+	for _, row := range quant.Sweep(req.N, req.Seed, req.Bits, atom.Granularity(req.Gran), req.PruneW, req.PruneA) {
+		resp.Rows = append(resp.Rows, QuantRow{Bits: row.Bits, Weights: quantStats(row.Weights), Acts: quantStats(row.Acts)})
 	}
 	return resp, nil
+}
+
+// quantStats is the wire form of one operand's quantization statistics.
+func quantStats(s quant.Stats) QuantStats {
+	return QuantStats{ValueDensity: s.ValueDensity, AtomDensity: s.AtomDensity, StreamAtoms: s.NonZeroAtoms, DenseAtoms: s.DenseAtoms}
 }
 
 // runConformance answers a conformance request by replaying a slice of the
