@@ -25,8 +25,7 @@
 //
 // -scale divides layer spatial dimensions (H/W) only, keeping every ratio
 // the figures report. Kernel synthesis, most of a run, does not shrink with
-// it: on a 2-vCPU box a full run takes ~40 s at -scale 1, ~31 s at -scale 4
-// and ~30 s at -scale 32.
+// it, so a larger -scale saves less time than its factor suggests.
 // -parallel bounds the experiment worker pool (0 = all CPUs); the output is
 // bit-identical for every value — only the wall-clock changes.
 // -telemetry turns the counter registry on, prints the per-stage
