@@ -11,8 +11,9 @@
 package balance
 
 import (
+	"cmp"
 	"fmt"
-	"sort"
+	"slices"
 	"strings"
 )
 
@@ -119,35 +120,47 @@ func bestOf(a, b [][]int, metric []int64) [][]int {
 
 // greedyPair implements the paper's grouping: items are repeatedly paired
 // "largest with smallest, second largest with second smallest" until only m
-// groups remain.
+// groups remain. Each round sorts the items by cost, descending, with a
+// stable sort, so equal costs keep their order from the round before. An
+// item holds its channels as a list linked through next, so a merge
+// appends one list to another without copying, and the sort moves no
+// pointers.
 func greedyPair(metric []int64, m int) [][]int {
 	type item struct {
-		cost     int64
-		channels []int
+		cost       int64
+		head, tail int // first and last channel of the item's list
 	}
+	next := make([]int, len(metric)) // the channel after c in its list, or -1
 	items := make([]item, len(metric))
 	for c, v := range metric {
-		items[c] = item{cost: v, channels: []int{c}}
+		items[c] = item{cost: v, head: c, tail: c}
+		next[c] = -1
 	}
 	for len(items) > m {
-		sort.SliceStable(items, func(i, j int) bool { return items[i].cost > items[j].cost })
+		slices.SortStableFunc(items, func(a, b item) int { return cmp.Compare(b.cost, a.cost) })
 		// Pair extremes: (0, last), (1, last-1), ... halving the item count.
 		k := len(items)
 		pairs := k / 2
 		if k-pairs < m {
 			pairs = k - m // only merge down to exactly m groups
 		}
-		next := make([]item, 0, k-pairs)
+		// Item i absorbs item k-1-i; the unpaired middle keeps its place.
 		for i := 0; i < pairs; i++ {
-			a, b := items[i], items[k-1-i]
-			next = append(next, item{cost: a.cost + b.cost, channels: append(append([]int{}, a.channels...), b.channels...)})
+			a, b := &items[i], items[k-1-i]
+			next[a.tail] = b.head
+			a.tail = b.tail
+			a.cost += b.cost
 		}
-		next = append(next, items[pairs:k-pairs]...)
-		items = next
+		items = items[:k-pairs]
 	}
 	out := make([][]int, m)
-	for i := range items {
-		out[i] = items[i].channels
+	flat := make([]int, 0, len(metric))
+	for i, it := range items {
+		start := len(flat)
+		for c := it.head; c >= 0; c = next[c] {
+			flat = append(flat, c)
+		}
+		out[i] = flat[start:len(flat):len(flat)]
 	}
 	return out
 }

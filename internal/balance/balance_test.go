@@ -2,6 +2,8 @@ package balance
 
 import (
 	"math/rand"
+	"reflect"
+	"sort"
 	"testing"
 	"testing/quick"
 )
@@ -171,5 +173,60 @@ func TestCostDegenerateMultipliers(t *testing.T) {
 	}
 	if got := Cost(10, 20, -4); got != 0 {
 		t.Fatalf("Cost(10,20,-4) = %d, want 0", got)
+	}
+}
+
+// greedyPairPrev is greedyPair as it was before the typed sort: items
+// holding channel slices, re-sorted through sort.SliceStable each round
+// and merged by copying both slices.
+func greedyPairPrev(metric []int64, m int) [][]int {
+	type item struct {
+		cost     int64
+		channels []int
+	}
+	items := make([]item, len(metric))
+	for c, v := range metric {
+		items[c] = item{cost: v, channels: []int{c}}
+	}
+	for len(items) > m {
+		sort.SliceStable(items, func(i, j int) bool { return items[i].cost > items[j].cost })
+		k := len(items)
+		pairs := k / 2
+		if k-pairs < m {
+			pairs = k - m
+		}
+		next := make([]item, 0, k-pairs)
+		for i := 0; i < pairs; i++ {
+			a, b := items[i], items[k-1-i]
+			next = append(next, item{cost: a.cost + b.cost, channels: append(append([]int{}, a.channels...), b.channels...)})
+		}
+		next = append(next, items[pairs:k-pairs]...)
+		items = next
+	}
+	out := make([][]int, m)
+	for i := range items {
+		out[i] = items[i].channels
+	}
+	return out
+}
+
+// TestGreedyPairMatchesPrev pins greedyPair's grouping, channel order
+// included, to the reflection-sorted version on seeded inputs. Costs drawn
+// from a handful of values make most comparisons ties, so the stable
+// order of every round is exercised.
+func TestGreedyPairMatchesPrev(t *testing.T) {
+	rng := rand.New(rand.NewSource(19))
+	for trial := 0; trial < 500; trial++ {
+		n := rng.Intn(300)
+		distinct := []int{1, 2, 3, 10, 1 << 20}[rng.Intn(5)]
+		metric := make([]int64, n)
+		for i := range metric {
+			metric[i] = int64(rng.Intn(distinct))
+		}
+		m := 1 + rng.Intn(40)
+		got, want := greedyPair(metric, m), greedyPairPrev(metric, m)
+		if !reflect.DeepEqual(got, want) {
+			t.Fatalf("trial %d (n %d, m %d, %d distinct costs): greedyPair\n%v\nwant\n%v", trial, n, m, distinct, got, want)
+		}
 	}
 }

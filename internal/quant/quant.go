@@ -166,7 +166,7 @@ func PruneAt(data []int32, t, surplus int) {
 	if t == 0 {
 		return
 	}
-	cut := tieCut(data, t, surplus)
+	cut := TieCut(data, t, surplus)
 	zeroBelow(data[:cut], t)
 	zeroBelow(data[cut:], t+1)
 }
@@ -228,10 +228,11 @@ func PruneHist(hist []int, density float64) (t, surplus int) {
 	return t, surplus
 }
 
-// tieCut returns the index just past the surplus-th value of magnitude t in
+// TieCut returns the index just past the surplus-th value of magnitude t in
 // data: the values of magnitude t before it survive pruning, those from it
-// on do not.
-func tieCut(data []int32, t, surplus int) int {
+// on do not. It is 0 when surplus is, and len(data) when data holds fewer
+// than surplus such values.
+func TieCut(data []int32, t, surplus int) int {
 	if surplus == 0 {
 		return 0
 	}

@@ -2,6 +2,7 @@ package workload_test
 
 import (
 	"reflect"
+	"runtime"
 	"testing"
 
 	"ristretto/internal/atom"
@@ -115,6 +116,39 @@ func TestNetworkStatsMatchesMaterializedOperands(t *testing.T) {
 				}
 			}
 		})
+	}
+}
+
+// TestNetworkStatsWorkerInvariance runs the scale-64 matrix of
+// TestNetworkStatsMatchesMaterializedOperands at one, two and eight CPUs:
+// the weight pipeline and the meter split each layer across up to
+// GOMAXPROCS workers, and the statistics must not depend on how many. A
+// -race run checks one precision per network.
+func TestNetworkStatsWorkerInvariance(t *testing.T) {
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(0))
+	b := experiments.NewQuickBench(1, 64)
+	for _, n := range model.Benchmark() {
+		sn := b.Scaled(n)
+		precs := map[string]model.Precision{
+			"8b": model.Uniform(sn, 8), "4b": model.Uniform(sn, 4),
+			"2b": model.Uniform(sn, 2), "mix2/4": model.Mixed24(sn, 1),
+		}
+		for name, p := range precs {
+			if raceDetector && name != "4b" {
+				continue
+			}
+			seed := workload.DeriveSeed(1, n.Name, name)
+			var want []workload.LayerStats
+			for _, procs := range []int{1, 2, 8} {
+				runtime.GOMAXPROCS(procs)
+				got := workload.NewGen(seed).NetworkStats(sn, p, 2, true)
+				if want == nil {
+					want = got
+				} else if !reflect.DeepEqual(got, want) {
+					t.Fatalf("%s %s: NetworkStats at GOMAXPROCS %d differs from GOMAXPROCS 1", n.Name, name, procs)
+				}
+			}
+		}
 	}
 }
 

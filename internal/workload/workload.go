@@ -98,13 +98,18 @@ func DeriveSeed(base int64, labels ...string) int64 {
 
 // Gen is a deterministic generator of synthetic operands.
 type Gen struct {
-	rng   *rand.Rand
-	codes []int32 // LayerStats' weight scratch, reused across layers
+	src   *source
+	rng   *rand.Rand  // reads src: the stream of rand.New(rand.NewSource(seed))
+	codes []int32     // LayerStats' weight scratch, reused across layers
+	bufs  [][]float64 // the weight pipeline's chunk buffers; bufs[0] also the activations'
+	hists []int       // drawWeights' per-chunk magnitude histograms
 }
 
-// NewGen returns a generator seeded with seed.
+// NewGen returns a generator seeded with seed. It draws the values
+// rand.New(rand.NewSource(seed)) would.
 func NewGen(seed int64) *Gen {
-	return &Gen{rng: rand.New(rand.NewSource(seed))}
+	src := newSource(seed)
+	return &Gen{src: src, rng: rand.New(src)}
 }
 
 // FeatureMap generates a c×h×w activation map at the given bit-width:
@@ -120,9 +125,11 @@ func (g *Gen) FeatureMap(c, h, w, bits int, aDensity float64) *tensor.FeatureMap
 	q := actQuantizer(bits)
 	for ch := 0; ch < c; ch++ {
 		plane := f.Channel(ch)
-		for i := range plane {
-			plane[i] = q.Code(g.rng.NormFloat64())
-		}
+		g.eachNormal(len(plane), chunkLen, func(i int, xs []float64) {
+			for j, x := range xs {
+				plane[i*chunkLen+j] = q.Code(x)
+			}
+		})
 		quant.PruneToDensity(plane, planeDensity(aDensity, ch))
 	}
 	return f
@@ -156,27 +163,12 @@ func splitmix(x uint64) uint64 {
 
 // Kernels generates a k×c×kh×kw kernel stack at the given bit-width:
 // Gaussian weights quantized with the default weight clip, pruned to the
-// target density.
+// target density as PruneToDensity would.
 func (g *Gen) Kernels(k, c, kh, kw, bits int, wDensity float64) *tensor.KernelStack {
 	ks := tensor.NewKernelStack(k, c, kh, kw, bits)
-	g.drawWeights(ks.Data, bits, wDensity)
+	_, t, surplus := g.drawWeights(ks.Data, bits, wDensity, chunkLen)
+	quant.PruneAt(ks.Data, t, surplus)
 	return ks
-}
-
-// drawWeights fills codes with quantized weights drawn in order, prunes them
-// to wDensity as PruneToDensity would, and returns their pruned magnitude
-// histogram, which it builds while drawing.
-func (g *Gen) drawWeights(codes []int32, bits int, wDensity float64) []int {
-	q := weightQuantizer(bits)
-	hist := make([]int, q.MaxCode()+1)
-	for i := range codes {
-		v := q.Code(g.rng.NormFloat64())
-		codes[i] = v
-		hist[atom.Magnitude(v)]++
-	}
-	t, surplus := quant.PruneHist(hist, wDensity)
-	quant.PruneAt(codes, t, surplus)
-	return hist
 }
 
 // value draws a non-zero value whose non-zero atoms appear with probability
