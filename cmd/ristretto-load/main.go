@@ -17,8 +17,8 @@
 // Multi-tenant mode (-tenants > 0 or -batch-frac > 0) tags every request
 // with X-Tenant / X-Priority headers, draws tenants and hot request keys
 // from zipfian distributions, and reports per-class tallies (shed,
-// quota-denied, degraded, p99) plus cache-hit and batched counts — the
-// traffic shape the serving-scale CI gates assert on.
+// quota-denied, degraded, p99) plus the cache-hit count — the traffic
+// shape the serving-scale CI gates assert on.
 //
 // Exit status: 0 when the run completed and the server answered (any
 // status codes — shedding is healthy behaviour); 1 when the server was

@@ -1,10 +1,11 @@
 // Command ristretto-serve runs the simulation-as-a-service daemon: the
 // repository's engines (analytic model, cycle-accurate core simulator,
 // quantization sweep, conformance spot-checks) behind the hardened HTTP
-// layer of internal/server — admission control with load shedding,
-// per-request deadlines and panic isolation, a circuit breaker that
-// degrades cycle-accurate answers to the analytic model under queue
-// pressure, and graceful drain on SIGINT/SIGTERM (exit 0).
+// layer of internal/server — a response memo for /v1/model, /v1/sim and
+// /v1/quant, admission control with load shedding, per-request deadlines
+// and panic isolation, a circuit breaker that degrades cycle-accurate
+// answers to the analytic model under queue pressure, and graceful drain
+// on SIGINT/SIGTERM (exit 0).
 //
 // Usage:
 //
@@ -12,7 +13,7 @@
 //	                [-deadline 15s] [-max-deadline 2m] [-max-body 1048576]
 //	                [-breaker-threshold 250ms] [-breaker-cooldown 2s]
 //	                [-breaker-hard-factor 4] [-cache-entries 4096]
-//	                [-batch-window 1ms] [-max-batch 16] [-batch-queue-share N]
+//	                [-batch-queue-share N]
 //	                [-tenant-rate 0] [-tenant-burst N] [-max-tenants 10000]
 //	                [-default-scale 16] [-drain-grace 30s]
 //	                [-cell-cache-dir dir] [-cell-cache-max-bytes 0]
@@ -65,9 +66,7 @@ func main() {
 	breakerThreshold := flag.Duration("breaker-threshold", 250*time.Millisecond, "queue wait that degrades /v1/sim to the analytic model (negative disables)")
 	breakerCooldown := flag.Duration("breaker-cooldown", 2*time.Second, "how long the breaker stays open after the last slow wait")
 	breakerHardFactor := flag.Int("breaker-hard-factor", 0, "multiple of breaker-threshold at which interactive traffic also degrades (0 = 4)")
-	cacheEntries := flag.Int("cache-entries", 0, "memo cache capacity for /v1/model and /v1/quant (0 = 4096, negative disables)")
-	batchWindow := flag.Duration("batch-window", 0, "coalescing window for /v1/sim batching (0 = 1ms, negative disables)")
-	maxBatch := flag.Int("max-batch", 0, "distinct simulations per coalesced batch (0 = 16)")
+	cacheEntries := flag.Int("cache-entries", 0, "memo cache capacity for /v1/model, /v1/sim and /v1/quant (0 = 4096, negative disables)")
 	batchQueueShare := flag.Int("batch-queue-share", 0, "admission-queue places the batch priority class may occupy (0 = queue/2)")
 	tenantRate := flag.Float64("tenant-rate", 0, "per-tenant token refill in requests/second (0 disables quotas)")
 	tenantBurst := flag.Float64("tenant-burst", 0, "per-tenant token bucket capacity (0 = max(1, tenant-rate))")
@@ -141,8 +140,6 @@ func main() {
 		BreakerCooldown:   *breakerCooldown,
 		BreakerHardFactor: *breakerHardFactor,
 		CacheEntries:      *cacheEntries,
-		BatchWindow:       *batchWindow,
-		MaxBatch:          *maxBatch,
 		BatchQueueShare:   *batchQueueShare,
 		TenantRate:        *tenantRate,
 		TenantBurst:       *tenantBurst,

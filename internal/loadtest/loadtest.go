@@ -105,7 +105,6 @@ type Report struct {
 	ByTarget        map[string]int64 `json:"by_target"`
 	Degraded        int64            `json:"degraded"`     // 200s flagged degraded=true
 	CacheHits       int64            `json:"cache_hits"`   // 200s flagged cached=true
-	Batched         int64            `json:"batched"`      // 200s flagged batched=true
 	QuotaDenied     int64            `json:"quota_denied"` // 429s naming an exhausted tenant quota
 	TransportErrors int64            `json:"transport_errors"`
 	LatencyMSP50    float64          `json:"latency_ms_p50"`
@@ -140,9 +139,8 @@ func (r *Report) String() string {
 		fmt.Fprintf(&b, "  target %s: %d\n", n, r.ByTarget[n])
 	}
 	fmt.Fprintf(&b, "  degraded responses: %d\n", r.Degraded)
-	if r.CacheHits > 0 || r.Batched > 0 || r.QuotaDenied > 0 {
-		fmt.Fprintf(&b, "  cache hits: %d  batched: %d  quota denied: %d\n",
-			r.CacheHits, r.Batched, r.QuotaDenied)
+	if r.CacheHits > 0 || r.QuotaDenied > 0 {
+		fmt.Fprintf(&b, "  cache hits: %d  quota denied: %d\n", r.CacheHits, r.QuotaDenied)
 	}
 	fmt.Fprintf(&b, "  latency ms: p50=%.1f p95=%.1f p99=%.1f max=%.1f\n",
 		r.LatencyMSP50, r.LatencyMSP95, r.LatencyMSP99, r.LatencyMSMax)
@@ -163,7 +161,6 @@ func (r *Report) String() string {
 type respProbe struct {
 	Degraded bool `json:"degraded"`
 	Cached   bool `json:"cached"`
-	Batched  bool `json:"batched"`
 }
 
 // errProbe is the minimal error-envelope shape the generator inspects: a
@@ -356,9 +353,6 @@ func Run(ctx context.Context, cfg Config) (*Report, error) {
 				}
 				if p.Cached {
 					rep.CacheHits++
-				}
-				if p.Batched {
-					rep.Batched++
 				}
 			}
 		case http.StatusTooManyRequests:

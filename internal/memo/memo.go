@@ -3,9 +3,10 @@
 // caller to fill the key and concurrent callers for that key wait for its
 // fill instead of repeating it.
 //
-// ristretto-serve builds both of its stores on it: the /v1/model +
-// /v1/quant response memo (each response costs one) and the layer
-// statistics shared by /v1/model and /v1/cell (each value costs its bytes).
+// ristretto-serve builds both of its stores on it: the /v1/model,
+// /v1/sim and /v1/quant response memo (each response costs one) and the
+// layer statistics shared by /v1/model and /v1/cell (each value costs its
+// bytes).
 // Every experiments.Bench reads its statistics through one, and
 // cellcache.Do singleflights its fills through one with a zero budget
 // (its payloads live on disk, so that cache holds only fills in progress).

@@ -23,6 +23,7 @@ type apiError struct {
 	Quota      string                `json:"quota,omitempty"` // tenant whose token bucket was empty (429s only)
 	RetryAfter int                   `json:"-"`               // seconds; > 0 emits a Retry-After header
 	CellError  *runner.WireCellError `json:"cell_error,omitempty"`
+	own        bool                  // the request's own shed, deadline or cancellation (see compute)
 }
 
 func (e *apiError) Error() string { return e.Msg }
@@ -155,9 +156,8 @@ func (r *SimRequest) validate(cfg *Config) *apiError {
 	return nil
 }
 
-// memoKey canonicalizes a validated sim request into its batching identity:
-// requests with identical keys share one batch cell (the simulation is a
-// pure function of these fields; the deadline is excluded).
+// memoKey canonicalizes a validated sim request into its cache identity
+// (deadline excluded; the simulation is a pure function of the rest).
 func (r *SimRequest) memoKey() string {
 	c := *r
 	c.DeadlineMS = 0
@@ -326,7 +326,7 @@ type SimResponse struct {
 	Energy      EnergyPJ `json:"energy"`
 	Engine      string   `json:"engine"`
 	Degraded    bool     `json:"degraded"`
-	Batched     bool     `json:"batched,omitempty"` // shared a coalesced batch or cell
+	Cached      bool     `json:"cached,omitempty"` // served from the memo cache
 	ElapsedMS   float64  `json:"elapsed_ms"`
 }
 
@@ -391,9 +391,20 @@ func (r *ModelResponse) memoClone(cached bool) memoizable {
 	return &c
 }
 
+// memoClone implements memoizable for simulations (see ModelResponse).
+func (r *SimResponse) memoClone(cached bool) memoizable {
+	c := *r
+	c.Cached, c.ElapsedMS = cached, 0
+	return &c
+}
+
 // memoClone implements memoizable for quant sweeps (see ModelResponse).
 func (r *QuantResponse) memoClone(cached bool) memoizable {
 	c := *r
 	c.Cached, c.ElapsedMS = cached, 0
 	return &c
 }
+
+func (r *ModelResponse) degraded() bool { return r.Degraded }
+func (r *SimResponse) degraded() bool   { return r.Degraded }
+func (r *QuantResponse) degraded() bool { return r.Degraded }

@@ -2,8 +2,8 @@ package server
 
 // This file holds the serving-scale memoization layer: a content-keyed
 // LRU + singleflight cache (Server.memo, an internal/memo cache) over the
-// pure-function endpoints (/v1/model and /v1/quant are deterministic
-// functions of their canonicalized request).
+// pure-function endpoints (/v1/model, /v1/sim and /v1/quant are
+// deterministic functions of their canonicalized request).
 // A hit bypasses the entire compute envelope — no admission slot, no
 // queue, no engine — and is served in microseconds from the stored
 // response; a miss elects exactly one leader to compute while concurrent
@@ -15,10 +15,102 @@ package server
 // byte-identical to cold-path payloads modulo the two documented volatile
 // envelope fields (cached, elapsed_ms) — enforced by TestMemoBitExact.
 
-// memoizable is implemented by response types the cache can store: Clone
-// returns a shallow copy safe to stamp per-request envelope fields on
-// without mutating the cached original. Payload fields are never mutated
-// after construction, so sharing slices between clones is safe.
+import (
+	"context"
+	"errors"
+	"net/http"
+	"time"
+)
+
+// memoizable is implemented by response types the cache can store:
+// memoClone returns a shallow copy safe to stamp per-request envelope
+// fields on without mutating the cached original. Payload fields are never
+// mutated after construction, so sharing slices between clones is safe.
+// degraded reports a breaker-degraded (analytic) answer, which is served
+// but never stored.
 type memoizable interface {
 	memoClone(cached bool) memoizable
+	degraded() bool
+}
+
+// degradedAnswer carries a degraded answer out of a memo fill as an error,
+// so the memo stores nothing and the fill's joiners see what it was.
+type degradedAnswer struct{ v memoizable }
+
+func (*degradedAnswer) Error() string { return "degraded answer" }
+
+// serveMemoized answers a pure-function request through the memo cache:
+// hits are served from the stored pristine value in microseconds without
+// touching admission; a miss elects one leader through the full compute
+// envelope while concurrent identical requests join its fill, each waiting
+// under its own deadline. Two rules keep one request's envelope from
+// leaking into another's answer:
+//
+//  1. A degraded answer is served but never stored.
+//  2. A joiner never inherits an outcome that belongs to the leader's
+//     envelope: its shed, its deadline expiry, its client going away, or a
+//     degraded answer the joiner's own priority class would not get. The
+//     joiner then makes its own attempt within its own deadline. A computed
+//     answer, an engine error or a recovered panic is shared.
+func (s *Server) serveMemoized(w http.ResponseWriter, r *http.Request, ep string, tc tenantCtx, deadlineMS int64, key string, work func(ctx context.Context) (any, error)) {
+	if s.memo == nil {
+		s.execute(w, r, ep, tc, deadlineMS, work)
+		return
+	}
+	start := time.Now()
+	if v, ok := s.memo.Get(key); ok {
+		s.finish(w, ep, tc, start, v.memoClone(true))
+		return
+	}
+	// The deadline bounds only a wait on another request's fill; the
+	// leader's own compute arms its deadline inside the envelope.
+	ctx, cancel := context.WithTimeout(r.Context(), s.resolveDeadline(deadlineMS))
+	defer cancel()
+	fill := func() (memoizable, error) {
+		res, aerr := s.compute(r, tc, deadlineMS, nil, work)
+		if aerr != nil {
+			return nil, aerr
+		}
+		v := res.(memoizable).memoClone(false)
+		if v.degraded() {
+			return nil, &degradedAnswer{v}
+		}
+		return v, nil
+	}
+	v, shared, err := s.memo.Do(ctx, key, fill)
+	for shared && s.leaderOnly(err, tc.class) {
+		if err = ctx.Err(); err != nil {
+			break
+		}
+		v, shared, err = s.memo.Do(ctx, key, fill) // this request's own attempt
+	}
+	var deg *degradedAnswer
+	var aerr *apiError
+	switch {
+	case err == nil:
+		s.finish(w, ep, tc, start, v.memoClone(shared))
+	case errors.As(err, &deg):
+		s.finish(w, ep, tc, start, deg.v.memoClone(shared))
+	case errors.As(err, &aerr):
+		s.fail(w, ep, aerr)
+	case errors.Is(err, context.DeadlineExceeded):
+		s.timeouts.Inc()
+		s.fail(w, ep, &apiError{Status: http.StatusGatewayTimeout, Msg: "deadline exceeded"})
+	default:
+		s.fail(w, ep, &apiError{Status: http.StatusServiceUnavailable, Msg: "client went away", RetryAfter: 1})
+	}
+}
+
+// leaderOnly reports whether a fill's outcome err belongs to its leader
+// alone (rule 2 of serveMemoized), so a joiner of class must not take it.
+func (s *Server) leaderOnly(err error, class priorityClass) bool {
+	var deg *degradedAnswer
+	var aerr *apiError
+	switch {
+	case errors.As(err, &deg):
+		return !s.brk.degrade(class)
+	case errors.As(err, &aerr):
+		return aerr.own
+	}
+	return false
 }

@@ -92,14 +92,19 @@ func TestPanicIsolation(t *testing.T) {
 	s, ts := newTestServer(t, func(c *Config) {
 		c.Fault = faultinject.New(faultinject.Spec{Seed: 1, Panic: 1})
 	})
-	for i := 0; i < 3; i++ {
-		resp, b := post(t, ts, "/v1/model", `{"net":"AlexNet","scale":32}`)
-		if resp.StatusCode != http.StatusInternalServerError || !bytes.Contains(b, []byte("panicked")) {
-			t.Fatalf("request %d: got %d %s, want 500 mentioning the panic", i, resp.StatusCode, b)
+	for _, tc := range []struct{ path, body string }{
+		{"/v1/model", `{"net":"AlexNet","scale":32}`},
+		{"/v1/sim", `{"net":"AlexNet","layer":"conv1","scale":32}`},
+	} {
+		for i := 0; i < 3; i++ {
+			resp, b := post(t, ts, tc.path, tc.body)
+			if resp.StatusCode != http.StatusInternalServerError || !bytes.Contains(b, []byte("panicked")) {
+				t.Fatalf("%s request %d: got %d %s, want 500 mentioning the panic", tc.path, i, resp.StatusCode, b)
+			}
 		}
 	}
-	if got := s.panics.Load(); got != 3 {
-		t.Fatalf("panics_recovered = %d, want 3", got)
+	if got := s.panics.Load(); got != 6 {
+		t.Fatalf("panics_recovered = %d, want 6", got)
 	}
 	if resp, _ := get(t, ts, "/healthz"); resp.StatusCode != http.StatusOK {
 		t.Fatalf("/healthz = %d after panics, want 200", resp.StatusCode)

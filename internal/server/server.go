@@ -11,15 +11,13 @@
 //     priority classes (X-Priority: interactive|batch) — batch traffic is
 //     quota-denied, queue-shed and fidelity-degraded before interactive
 //     traffic (see tenant.go);
-//   - memoization: /v1/model and /v1/quant are pure functions of their
-//     canonicalized request, so hot configurations are answered from a
-//     content-keyed LRU + singleflight cache in microseconds without
-//     touching the admission queue (see cache.go); /v1/model misses and
-//     /v1/cell read layer statistics from one shared store, so the daemon
-//     synthesizes each workload once;
-//   - coalescing: compatible /v1/sim requests arriving within the batch
-//     window share one admission slot and one multi-cell sweep, with
-//     per-waiter deadline fan-out (see batch.go);
+//   - memoization: /v1/model, /v1/sim and /v1/quant are pure functions of
+//     their canonicalized request, so hot configurations are answered from
+//     a content-keyed LRU + singleflight cache in microseconds without
+//     touching the admission queue, and concurrent identical misses
+//     compute once (see cache.go); /v1/model misses and /v1/cell read
+//     layer statistics from one shared store, so the daemon synthesizes
+//     each workload once;
 //   - admission control over a bounded queue — at most MaxConcurrent
 //     requests compute, at most MaxQueue wait, everything beyond is shed
 //     synchronously with 429 + Retry-After so memory stays bounded at
@@ -92,14 +90,9 @@ type Config struct {
 	MaxQuantSamples int64
 	// MaxConformanceCases caps one conformance request's sweep; 0 = 200.
 	MaxConformanceCases int
-	// CacheEntries bounds the /v1/model + /v1/quant memo cache (LRU);
-	// 0 = 4096. Negative disables memoization.
+	// CacheEntries bounds the /v1/model + /v1/sim + /v1/quant memo cache
+	// (LRU); 0 = 4096. Negative disables memoization.
 	CacheEntries int
-	// BatchWindow is how long a /v1/sim request waits for batchmates
-	// before its batch fires; 0 = 1ms. Negative disables coalescing.
-	BatchWindow time.Duration
-	// MaxBatch caps distinct simulations per batch; 0 = 16.
-	MaxBatch int
 	// BatchQueueShare caps the admission-queue places the batch priority
 	// class may occupy, so batch sheds before interactive under mixed
 	// overload; 0 = MaxQueue/2 (minimum 1).
@@ -167,12 +160,6 @@ func (c Config) withDefaults() Config {
 	if c.CacheEntries == 0 {
 		c.CacheEntries = 4096
 	}
-	if c.BatchWindow == 0 {
-		c.BatchWindow = time.Millisecond
-	}
-	if c.MaxBatch <= 0 {
-		c.MaxBatch = 16
-	}
 	if c.BatchQueueShare <= 0 {
 		c.BatchQueueShare = c.MaxQueue / 2
 		if c.BatchQueueShare < 1 {
@@ -215,7 +202,6 @@ type Server struct {
 	brk      *breaker
 	memo     *memo.Cache[memoizable] // response memo (server.cache.*); nil when memoization is disabled
 	stats    *experiments.StatsStore // layer statistics shared by /v1/model and /v1/cell
-	batch    *batcher                // nil when coalescing is disabled
 	cells    *cellcache.Cache        // nil when the cell cache is disabled
 	quota    *quotaTable
 	class    map[priorityClass]*classMetrics
@@ -280,9 +266,6 @@ func New(cfg Config) *Server {
 	}
 	if cfg.CacheEntries > 0 {
 		s.memo = memo.New[memoizable](int64(cfg.CacheEntries), nil, r, "server.cache", "entries")
-	}
-	if cfg.BatchWindow > 0 {
-		s.batch = newBatcher(cfg.BatchWindow, cfg.MaxBatch, s.runBatch, r)
 	}
 	if cfg.TenantRate > 0 {
 		s.quota = newQuotaTable(cfg.TenantRate, cfg.TenantBurst, cfg.MaxTenants)
@@ -414,17 +397,7 @@ func (s *Server) handleSim(w http.ResponseWriter, r *http.Request) {
 	if !ok {
 		return
 	}
-	if s.batch != nil {
-		start := time.Now()
-		var seq int64
-		if s.fault != nil {
-			seq = s.seq.Add(1)
-		}
-		sw := s.batch.submit(req.memoKey(), &req, tc.class, seq)
-		s.awaitBatched(w, r, tc, req.DeadlineMS, start, sw)
-		return
-	}
-	s.execute(w, r, "sim", tc, req.DeadlineMS, func(ctx context.Context) (any, error) {
+	s.serveMemoized(w, r, "sim", tc, req.DeadlineMS, req.memoKey(), func(ctx context.Context) (any, error) {
 		// The breaker is consulted after admission, inside the isolated
 		// cell: the queue wait this request just experienced has already
 		// been observed, so an overloaded daemon degrades the very request
@@ -512,7 +485,8 @@ func (s *Server) decode(w http.ResponseWriter, r *http.Request, ep string, req a
 // compute runs one validated request through the robustness envelope:
 // class-aware admission (shed on overflow), breaker observation, deadline,
 // and the one-cell runner call that isolates panics and enforces the
-// timeout. It returns the computed value or the failure to answer with.
+// timeout. It returns the computed value or the failure to answer with,
+// marked own when it is the request's shed, deadline or cancellation.
 // seedFn, when non-nil, derives the replay seed recorded on envelope-level
 // cell failures (the /v1/cell endpoint passes the experiment-suite
 // derivation so remote failures replay locally); nil leaves it zero.
@@ -523,9 +497,9 @@ func (s *Server) compute(r *http.Request, tc tenantCtx, deadlineMS int64, seedFn
 	case errors.Is(err, errShed):
 		s.shed.Inc()
 		s.class[tc.class].shed.Inc()
-		return nil, &apiError{Status: http.StatusTooManyRequests, Msg: "overloaded: queue full", RetryAfter: 1}
+		return nil, &apiError{Status: http.StatusTooManyRequests, Msg: "overloaded: queue full", RetryAfter: 1, own: true}
 	case err != nil: // client gave up while queued
-		return nil, &apiError{Status: http.StatusServiceUnavailable, Msg: "request cancelled while queued", RetryAfter: 1}
+		return nil, &apiError{Status: http.StatusServiceUnavailable, Msg: "request cancelled while queued", RetryAfter: 1, own: true}
 	}
 	defer release()
 	s.queueWait.Observe(wait.Nanoseconds())
@@ -544,7 +518,9 @@ func (s *Server) compute(r *http.Request, tc tenantCtx, deadlineMS int64, seedFn
 		return work(ctx)
 	})
 	if rerr != nil {
-		return nil, s.classify(rerr)
+		aerr := s.classify(rerr)
+		aerr.own = ctx.Err() != nil || errors.Is(rerr, runner.ErrCellTimeout)
+		return nil, aerr
 	}
 	return res[0], nil
 }
@@ -574,45 +550,17 @@ func (s *Server) execute(w http.ResponseWriter, r *http.Request, ep string, tc t
 	s.finish(w, ep, tc, start, res)
 }
 
-// serveMemoized answers a pure-function request through the memo cache:
-// hits are served from the stored pristine value in microseconds without
-// touching admission; misses elect one leader through the full compute
-// envelope while concurrent identical requests wait on the in-flight
-// result with their own deadlines.
-func (s *Server) serveMemoized(w http.ResponseWriter, r *http.Request, ep string, tc tenantCtx, deadlineMS int64, key string, work func(ctx context.Context) (any, error)) {
-	if s.memo == nil {
-		s.execute(w, r, ep, tc, deadlineMS, work)
-		return
-	}
-	start := time.Now()
-	if v, ok := s.memo.Get(key); ok {
-		s.finish(w, ep, tc, start, v.memoClone(true))
-		return
-	}
-	// The deadline bounds only a wait on another request's fill; the
-	// leader's own compute arms its deadline inside the envelope.
-	ctx, cancel := context.WithTimeout(r.Context(), s.resolveDeadline(deadlineMS))
-	defer cancel()
-	v, shared, err := s.memo.Do(ctx, key, func() (memoizable, error) {
-		res, aerr := s.compute(r, tc, deadlineMS, nil, work)
-		if aerr != nil {
-			return nil, aerr
+// resolveDeadline maps a request's deadline_ms to the effective wall-clock
+// bound: the server default when unset, capped at MaxDeadline.
+func (s *Server) resolveDeadline(deadlineMS int64) time.Duration {
+	d := s.cfg.DefaultDeadline
+	if deadlineMS > 0 {
+		d = time.Duration(deadlineMS) * time.Millisecond
+		if d > s.cfg.MaxDeadline {
+			d = s.cfg.MaxDeadline
 		}
-		return res.(memoizable).memoClone(false), nil
-	})
-	var aerr *apiError
-	switch {
-	case err == nil:
-		s.finish(w, ep, tc, start, v.memoClone(shared))
-		return
-	case errors.As(err, &aerr):
-	case errors.Is(err, context.DeadlineExceeded):
-		s.timeouts.Inc()
-		aerr = &apiError{Status: http.StatusGatewayTimeout, Msg: "deadline exceeded"}
-	default:
-		aerr = &apiError{Status: http.StatusServiceUnavailable, Msg: "client went away", RetryAfter: 1}
 	}
-	s.fail(w, ep, aerr)
+	return d
 }
 
 // classify maps a runner failure to its HTTP shape: recovered panics are
@@ -631,7 +579,7 @@ func (s *Server) classify(err error) *apiError {
 			s.panics.Inc()
 			log.Printf("server: recovered request panic: %v\n%s", ce.Err, ce.Stack)
 			return &apiError{Status: http.StatusInternalServerError, Msg: "internal error: request panicked (isolated; see server log)", CellError: wire}
-		case ce.TimedOut:
+		case ce.TimedOut || errors.Is(ce.Err, context.DeadlineExceeded): // the context may beat the runner's timer
 			s.timeouts.Inc()
 			return &apiError{Status: http.StatusGatewayTimeout, Msg: "deadline exceeded", CellError: wire}
 		case faultinject.IsTransient(ce.Err):

@@ -140,7 +140,8 @@ func TestModelEndpointGolden(t *testing.T) {
 }
 
 func TestSimEndpointDeterministic(t *testing.T) {
-	_, ts := newTestServer(t, nil)
+	// Memoization off: the second request must recompute, not replay.
+	_, ts := newTestServer(t, func(c *Config) { c.CacheEntries = -1 })
 	body := `{"net":"ResNet-18","layer":"conv3_2","precision":"4b","scale":32,"seed":5}`
 	var cycles [2]int64
 	for i := range cycles {

@@ -116,7 +116,6 @@ func TestBatchShedsBeforeInteractive(t *testing.T) {
 		c.MaxQueue = 4
 		c.BatchQueueShare = 1
 		c.CacheEntries = -1 // identical bodies must each hit admission
-		c.BatchWindow = -1
 		c.Fault = faultinject.New(faultinject.Spec{Seed: 1, DelayProb: 1, Delay: 150 * time.Millisecond})
 	})
 
@@ -184,7 +183,7 @@ func TestClassDegradeOrdering(t *testing.T) {
 		c.BreakerThreshold = 10 * time.Millisecond
 		c.BreakerHardFactor = 1000
 		c.BreakerCooldown = 10 * time.Second
-		c.BatchWindow = -1 // direct path: per-request degradation decisions
+		c.CacheEntries = -1 // each request recomputes: per-request degradation decisions
 	})
 
 	simBody := `{"net":"AlexNet","layer":"conv1","precision":"4b","scale":32,"seed":1}`
