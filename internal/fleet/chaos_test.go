@@ -9,6 +9,7 @@ package fleet
 import (
 	"bufio"
 	"context"
+	"errors"
 	"fmt"
 	"net"
 	"net/http"
@@ -39,7 +40,8 @@ func TestMain(m *testing.M) {
 }
 
 // runChaosWorker serves /v1/cell until killed, announcing its address on
-// stdout. RISTRETTO_FLEET_FAULT injects a fault schedule into the worker.
+// stdout and then each /v1/cell request as it starts serving it.
+// RISTRETTO_FLEET_FAULT injects a fault schedule into the worker.
 func runChaosWorker() {
 	cfg := server.Config{Registry: telemetry.NewRegistry()}
 	if spec := os.Getenv("RISTRETTO_FLEET_FAULT"); spec != "" {
@@ -56,14 +58,23 @@ func runChaosWorker() {
 		os.Exit(1)
 	}
 	fmt.Printf("CHAOS_WORKER %s\n", ln.Addr())
-	if err := http.Serve(ln, server.New(cfg).Handler()); err != nil {
+	h := server.New(cfg).Handler()
+	announce := http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+		if r.URL.Path == "/v1/cell" {
+			fmt.Println("CHAOS_CELL")
+		}
+		h.ServeHTTP(w, r)
+	})
+	if err := http.Serve(ln, announce); err != nil {
 		fmt.Fprintln(os.Stderr, "chaos worker:", err)
 		os.Exit(1)
 	}
 }
 
-// spawnChaosWorker starts one worker process and returns its URL and pid.
-func spawnChaosWorker(t *testing.T, extraEnv ...string) (string, *exec.Cmd) {
+// spawnChaosWorker starts one worker process and returns its URL, its
+// process, and a channel that receives as the worker starts serving a
+// cell (sends that find the channel full are dropped).
+func spawnChaosWorker(t *testing.T, extraEnv ...string) (string, *exec.Cmd, <-chan struct{}) {
 	t.Helper()
 	exe, err := os.Executable()
 	if err != nil {
@@ -85,22 +96,27 @@ func spawnChaosWorker(t *testing.T, extraEnv ...string) (string, *exec.Cmd) {
 		cmd.Wait()
 	})
 	addrCh := make(chan string, 1)
+	cells := make(chan struct{}, 1)
 	go func() {
+		defer close(addrCh)
 		sc := bufio.NewScanner(stdout)
 		for sc.Scan() {
 			if addr, ok := strings.CutPrefix(sc.Text(), "CHAOS_WORKER "); ok {
 				addrCh <- addr
-				return
+			} else if sc.Text() == "CHAOS_CELL" {
+				select {
+				case cells <- struct{}{}:
+				default:
+				}
 			}
 		}
-		close(addrCh)
 	}()
 	select {
 	case addr, ok := <-addrCh:
 		if !ok {
 			t.Fatal("worker exited before announcing its address")
 		}
-		return "http://" + addr, cmd
+		return "http://" + addr, cmd, cells
 	case <-time.After(30 * time.Second):
 		t.Fatal("worker did not announce its address within 30s")
 	}
@@ -117,21 +133,34 @@ func TestFleetChaosSIGKILLWorker(t *testing.T) {
 	}
 	var workers []string
 	var victims []*exec.Cmd
+	var firstCell <-chan struct{}
 	for i := 0; i < 3; i++ {
-		url, cmd := spawnChaosWorker(t)
+		url, cmd, cells := spawnChaosWorker(t)
 		workers = append(workers, url)
 		victims = append(victims, cmd)
+		if i == 0 {
+			firstCell = cells
+		}
 	}
 
-	// SIGKILL worker 0 well inside the sweep: a full 22-cell run takes
-	// seconds, so 500ms lands with cells queued and usually in flight.
+	// SIGKILL worker 0 as it starts serving its first cell: the kill then
+	// lands with that cell in flight and the rest of worker 0's share
+	// queued, so it strikes out on them and is retired. A fixed delay
+	// cannot promise that: where the sweep runs fast enough, it lands
+	// with too few cells left for worker 0 to strike out on.
 	killed := make(chan error, 1)
+	swept := make(chan struct{})
 	go func() {
-		time.Sleep(500 * time.Millisecond)
-		killed <- syscall.Kill(victims[0].Process.Pid, syscall.SIGKILL)
+		select {
+		case <-firstCell:
+			killed <- syscall.Kill(victims[0].Process.Pid, syscall.SIGKILL)
+		case <-swept:
+			killed <- errors.New("worker 0 served no cell")
+		}
 	}()
 
 	rs, rep, err := Run(context.Background(), fleetCfg(workers...))
+	close(swept)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -168,7 +197,7 @@ func TestFleetRemotePanicReproducesLocally(t *testing.T) {
 	if testing.Short() {
 		t.Skip("multi-process sweep in -short mode")
 	}
-	url, _ := spawnChaosWorker(t, "RISTRETTO_FLEET_FAULT=seed=7,panic=1")
+	url, _, _ := spawnChaosWorker(t, "RISTRETTO_FLEET_FAULT=seed=7,panic=1")
 	rs, rep, err := Run(context.Background(), fleetCfg(url))
 	if err != nil {
 		t.Fatal(err)
