@@ -104,16 +104,11 @@ func FlattenKernelsDense(w *tensor.KernelStack, c int, outChans []int) []WeightE
 }
 
 func flattenKernels(w *tensor.KernelStack, c int, outChans []int, dense bool) []WeightElem {
-	return appendKernels(nil, w, c, outChans, dense)
-}
-
-// appendKernels appends flattenKernels' elements to dst; nil outChans means
-// every output channel.
-func appendKernels(dst []WeightElem, w *tensor.KernelStack, c int, outChans []int, dense bool) []WeightElem {
 	n := len(outChans)
 	if outChans == nil {
 		n = w.K
 	}
+	var out []WeightElem
 	for i := 0; i < n; i++ {
 		k := i
 		if outChans != nil {
@@ -122,12 +117,12 @@ func appendKernels(dst []WeightElem, w *tensor.KernelStack, c int, outChans []in
 		for y := 0; y < w.KH; y++ {
 			for x := 0; x < w.KW; x++ {
 				if v := w.At(k, c, y, x); v != 0 || dense {
-					dst = append(dst, WeightElem{Val: v, X: uint8(x), Y: uint8(y), K: uint16(k)})
+					out = append(out, WeightElem{Val: v, X: uint8(x), Y: uint8(y), K: uint16(k)})
 				}
 			}
 		}
 	}
-	return dst
+	return out
 }
 
 // CompressActs decomposes a flattened activation stream into its non-zero
@@ -186,31 +181,74 @@ func appendActAtoms(dst []ActAtom, v int32, bits int, n atom.Granularity, x, y u
 // the accumulate-buffer drain, and within a slice they are ordered output-
 // channel-first so concurrent products target distinct accumulate banks.
 // Magnitudes use bits-1 bits (sign-magnitude).
+//
+// elems must hold each output channel's weights together, as FlattenKernels
+// and FlattenKernelsDense list them; a slice's channels keep the order of
+// their groups.
 func CompressWeights(elems []WeightElem, bits int, n atom.Granularity, dense bool) []WeightAtom {
+	groups := 0
+	for i, e := range elems {
+		if i == 0 || e.K != elems[i-1].K {
+			groups++
+		}
+	}
 	var b WeightStreamer
-	return b.compress(elems, bits, n, dense)
+	b.start(bits, n, dense, len(elems), groups)
+	for i, e := range elems {
+		if i > 0 && e.K != elems[i-1].K {
+			b.endChannel()
+		}
+		b.add(e.Val, e.X, e.Y, e.K)
+	}
+	return b.finish()
 }
 
 // WeightStreamer builds static weight streams, reusing its temporaries
 // from call to call: a sweep over a layer's input channels then allocates
 // only the streams it returns. The zero value is ready to use; a streamer
 // is not safe for concurrent use.
+//
+// A stream is built in one pass over its weights, channel by channel. Each
+// weight's atoms go straight to the regions of their slices, so every
+// slice lists its atoms in weight order, and so channel by channel: the
+// slice needs no regrouping. The channel-first interleave then reads the
+// slice's channel runs round-robin.
 type WeightStreamer struct {
-	elems                []WeightElem
-	tmp                  []atom.Atom
-	sliceCount, sliceOff []int
-	flat, buf            []WeightAtom
-	kCount, kOff         []int32
-	order                []uint16
+	magBits int
+	gran    atom.Granularity
+	dense   bool
+
+	atoms  []WeightAtom // slice s's atoms at [s*stride, s*stride+fill[s]); a weight adds at most one atom per slice
+	stride int          // the weights the stream may hold
+	fill   []int32      // atoms per slice
+	mark   []int32      // fill at the current channel's first weight
+	runs   [][]chanRun  // per slice: its channels' runs of atoms, in channel order
 }
+
+// chanRun is one channel's atoms within a slice's region of
+// WeightStreamer.atoms.
+type chanRun struct{ start, n int32 }
 
 // Stream returns input channel c's compressed static stream over every
 // output channel, byte-identical to CompressWeights(FlattenKernels(w, c,
 // nil), w.Bits, n, false), or to the FlattenKernelsDense pair when dense is
-// set. The returned slice is freshly allocated.
+// set. It reads the kernel's (k, c) blocks directly. The returned slice is
+// freshly allocated.
 func (b *WeightStreamer) Stream(w *tensor.KernelStack, c int, n atom.Granularity, dense bool) []WeightAtom {
-	b.elems = appendKernels(b.elems[:0], w, c, nil, dense)
-	return b.compress(b.elems, w.Bits, n, dense)
+	area := w.KH * w.KW
+	b.start(w.Bits, n, dense, w.K*area, w.K)
+	for k := 0; k < w.K; k++ {
+		block := w.Data[(k*w.C+c)*area:][:area]
+		for y := 0; y < w.KH; y++ {
+			for x, v := range block[y*w.KW : (y+1)*w.KW] {
+				if v != 0 || dense {
+					b.add(v, uint8(x), uint8(y), uint16(k))
+				}
+			}
+		}
+		b.endChannel()
+	}
+	return b.finish()
 }
 
 // resized returns v resliced to n elements, reallocating only when it is
@@ -222,121 +260,93 @@ func resized[T any](v []T, n int) []T {
 	return v[:n]
 }
 
-func (b *WeightStreamer) compress(elems []WeightElem, bits int, n atom.Granularity, dense bool) []WeightAtom {
+// start empties the streamer for a stream of up to weights weights of the
+// given bit width over up to channels channel groups.
+func (b *WeightStreamer) start(bits int, n atom.Granularity, dense bool, weights, channels int) {
 	n.Validate()
-	if len(elems) == 0 {
-		return nil
-	}
+	b.magBits, b.gran, b.dense = bits-1, n, dense
 	slices := n.Count(bits - 1)
-
-	// Pass 1: per-slice atom counts and the channel-index bound, so the
-	// grouping below runs over flat scratch arrays instead of per-value
-	// slices and per-channel maps.
-	sliceCount := resized(b.sliceCount, slices+1)
-	clear(sliceCount)
-	maxK := uint16(0)
-	total := 0
-	tmp := b.tmp
-	for _, e := range elems {
-		tmp = weightDigits(tmp[:0], e.Val, bits-1, n, dense)
-		for _, a := range tmp {
-			sliceCount[int(a.Shift)/int(n)]++
-			total++
-		}
-		if e.K > maxK {
-			maxK = e.K
-		}
+	b.stride = weights
+	b.atoms = resized(b.atoms, slices*weights)
+	b.fill = resized(b.fill, slices)
+	clear(b.fill)
+	b.mark = resized(b.mark, slices)
+	clear(b.mark)
+	if len(b.runs) < slices {
+		b.runs = append(b.runs, make([][]chanRun, slices-len(b.runs))...)
 	}
-
-	// Pass 2: scatter atoms into slice-major order (stable within a slice,
-	// i.e. elem order — exactly the old bySlice grouping).
-	sliceOff := resized(b.sliceOff, slices+1)
-	off := 0
-	for s := 0; s <= slices; s++ {
-		sliceOff[s] = off
-		off += sliceCount[s]
-		sliceCount[s] = sliceOff[s] // reuse as write cursor
+	b.runs = b.runs[:slices]
+	for s := range b.runs {
+		if cap(b.runs[s]) < channels {
+			b.runs[s] = make([]chanRun, 0, channels)
+		}
+		b.runs[s] = b.runs[s][:0]
 	}
-	flat := resized(b.flat, total)
-	for _, e := range elems {
-		sign := e.Val < 0
-		tmp = weightDigits(tmp[:0], e.Val, bits-1, n, dense)
-		for _, a := range tmp {
-			s := int(a.Shift) / int(n)
-			flat[sliceCount[s]] = WeightAtom{Mag: a.Mag, Shift: a.Shift, Sign: sign, X: e.X, Y: e.Y, K: e.K}
-			sliceCount[s]++
-		}
-	}
-
-	// Pass 3, per slice: channel-first interleave. Channels keep their
-	// first-appearance order within the slice; atoms round-robin across
-	// channels so adjacent stream slots target distinct accumulate banks
-	// (the Figure 9 stream shuffle). A counting sort over a K-indexed
-	// scratch array replaces the old per-channel map, byte-for-byte
-	// preserving the emitted order.
-	out := make([]WeightAtom, 0, total)
-	kCount := resized(b.kCount, int(maxK)+1)
-	clear(kCount)
-	kOff := resized(b.kOff, int(maxK)+1)
-	order := resized(b.order, int(maxK)+1)[:0]
-	buf := resized(b.buf, total)
-	for s := 0; s < slices; s++ {
-		seg := flat[sliceOff[s]:sliceOff[s+1]]
-		if len(seg) == 0 {
-			continue
-		}
-		order = order[:0]
-		for _, a := range seg {
-			if kCount[a.K] == 0 {
-				order = append(order, a.K)
-			}
-			kCount[a.K]++
-		}
-		pos := int32(0)
-		maxCnt := int32(0)
-		for _, k := range order {
-			kOff[k] = pos
-			pos += kCount[k]
-			if kCount[k] > maxCnt {
-				maxCnt = kCount[k]
-			}
-		}
-		for _, a := range seg {
-			buf[kOff[a.K]] = a
-			kOff[a.K]++
-		}
-		// kOff[k] now points one past channel k's bucket; rewind to start.
-		for _, k := range order {
-			kOff[k] -= kCount[k]
-		}
-		for i := int32(0); i < maxCnt; i++ {
-			for _, k := range order {
-				if i < kCount[k] {
-					out = append(out, buf[kOff[k]+i])
-				}
-			}
-		}
-		for _, k := range order {
-			kCount[k] = 0
-		}
-	}
-	b.tmp, b.sliceCount, b.sliceOff, b.flat, b.buf = tmp, sliceCount, sliceOff, flat, buf
-	b.kCount, b.kOff, b.order = kCount, kOff, order
-	return out
 }
 
-// weightDigits appends the atoms of one weight magnitude to dst: the table
-// fast path for <8-bit magnitudes in sparse mode, atom.Decompose/
-// DecomposeDense otherwise. Sign is applied by the caller (sign-magnitude:
-// every atom of a value shares its sign).
-func weightDigits(dst []atom.Atom, v int32, magBits int, n atom.Granularity, dense bool) []atom.Atom {
-	if !dense {
-		if mag := absMag(v); mag < 256 && magBits > 0 && (magBits >= 8 || mag < 1<<uint(magBits)) {
-			return append(dst, atom.Digits(mag, n)...)
-		}
-		return append(dst, atom.Decompose(v, magBits, n)...)
+// add appends the atoms of weight v at kernel position (x, y) of output
+// channel k to their slices. Sign is sign-magnitude: every atom of a value
+// shares it.
+func (b *WeightStreamer) add(v int32, x, y uint8, k uint16) {
+	sign := v < 0
+	for _, a := range b.digits(v) {
+		s := int(a.Shift) / int(b.gran)
+		b.atoms[s*b.stride+int(b.fill[s])] = WeightAtom{Mag: a.Mag, Shift: a.Shift, Sign: sign, X: x, Y: y, K: k}
+		b.fill[s]++
 	}
-	return append(dst, atom.DecomposeDense(v, magBits, n)...)
+}
+
+// digits returns the atoms of one weight: the table fast path for <8-bit
+// magnitudes in sparse mode, atom.Decompose/DecomposeDense otherwise. The
+// table's slices are shared and read-only.
+func (b *WeightStreamer) digits(v int32) []atom.Atom {
+	if b.dense {
+		return atom.DecomposeDense(v, b.magBits, b.gran)
+	}
+	if mag := absMag(v); mag < 256 && b.magBits > 0 && (b.magBits >= 8 || mag < 1<<uint(b.magBits)) {
+		return atom.Digits(mag, b.gran)
+	}
+	return atom.Decompose(v, b.magBits, b.gran)
+}
+
+// endChannel closes the current channel: each slice it added atoms to
+// gains a run.
+func (b *WeightStreamer) endChannel() {
+	for s, f := range b.fill {
+		if m := b.mark[s]; f > m {
+			b.runs[s] = append(b.runs[s], chanRun{start: m, n: f - m})
+			b.mark[s] = f
+		}
+	}
+}
+
+// finish closes the last channel and emits the stream: slice by slice,
+// round-robin over the slice's channel runs, so that adjacent stream slots
+// target distinct accumulate banks (the Figure 9 stream shuffle).
+func (b *WeightStreamer) finish() []WeightAtom {
+	b.endChannel()
+	total := 0
+	for _, f := range b.fill {
+		total += int(f)
+	}
+	if total == 0 {
+		return nil
+	}
+	out := make([]WeightAtom, 0, total)
+	for s, runs := range b.runs {
+		seg := b.atoms[s*b.stride:]
+		for len(runs) > 0 {
+			live := runs[:0]
+			for _, r := range runs {
+				out = append(out, seg[r.start])
+				if r.start, r.n = r.start+1, r.n-1; r.n > 0 {
+					live = append(live, r)
+				}
+			}
+			runs = live
+		}
+	}
+	return out
 }
 
 // StreamTileActs builds the compressed activation atom stream of channel c

@@ -122,3 +122,43 @@ func TestStreamTileActsAllZero(t *testing.T) {
 		t.Fatalf("all-zero plane produced %d atoms", len(got))
 	}
 }
+
+// TestStreamMatchesCompressWeights checks the one-pass kernel walk of
+// WeightStreamer.Stream against CompressWeights over the flattened kernel
+// and against the map-based oracle, on random kernels: 2–12-bit weights
+// (from 10 bits on, magnitudes beyond the 8-bit digit table), atoms of 1–3
+// bits, dense and sparse streams, 1–130 output channels (so past 64) and
+// 1×1 to 5×5 windows. One streamer serves every case, so its temporaries
+// grow and shrink between them.
+func TestStreamMatchesCompressWeights(t *testing.T) {
+	rng := rand.New(rand.NewSource(93))
+	var ws WeightStreamer
+	for i := 0; i < 300; i++ {
+		bits := 2 + rng.Intn(11)
+		gran := atom.Granularity(1 + rng.Intn(3))
+		k := 1 + rng.Intn(130)
+		ks := 1 + 2*rng.Intn(3)
+		w := tensor.NewKernelStack(k, 3, ks, ks, bits)
+		limit := int32(1)<<(bits-1) - 1
+		density := rng.Float64()
+		for j := range w.Data {
+			if rng.Float64() < density {
+				w.Data[j] = rng.Int31n(2*limit+1) - limit
+			}
+		}
+		c := rng.Intn(3)
+		for _, dense := range []bool{false, true} {
+			flat := FlattenKernels(w, c, nil)
+			if dense {
+				flat = FlattenKernelsDense(w, c, nil)
+			}
+			want := CompressWeights(flat, bits, gran, dense)
+			if oracle := oracleCompressWeights(flat, bits, gran, dense); !reflect.DeepEqual(want, oracle) && len(want)+len(oracle) > 0 {
+				t.Fatalf("case %d (bits %d, gran %d, K %d, %dx%d, dense %v): CompressWeights diverged from the oracle", i, bits, gran, k, ks, ks, dense)
+			}
+			if got := ws.Stream(w, c, gran, dense); !reflect.DeepEqual(got, want) {
+				t.Fatalf("case %d (bits %d, gran %d, K %d, %dx%d, dense %v): Stream diverged from CompressWeights\n got %v\nwant %v", i, bits, gran, k, ks, ks, dense, got, want)
+			}
+		}
+	}
+}

@@ -1,10 +1,16 @@
 package experiments
 
 import (
+	"fmt"
+	"math/rand"
 	"reflect"
 	"strconv"
 	"strings"
 	"testing"
+
+	"ristretto/internal/model"
+	"ristretto/internal/quant"
+	"ristretto/internal/workload"
 )
 
 // One shared quick bench for all tests: scale-8 spatial dims, two networks.
@@ -292,5 +298,56 @@ func TestStatsFailedFillNotStored(t *testing.T) {
 			}()
 			b.Stats(n, "3b", 2)
 		}()
+	}
+}
+
+// TestFigure1CountsMatchMaterialized pins every Figure 1 cell's zero counts
+// against a copy of the loop the figure used before it drew through
+// workload.Gen.Normals: a math/rand generator's NormFloat64, and the
+// weights and activations of each layer quantized into new slices. The
+// goldens pin seed 1's figure; this checks another seed.
+func TestFigure1CountsMatchMaterialized(t *testing.T) {
+	const seed, maxSamples = 7, 60000
+	for _, name := range []string{"AlexNet", "VGG-16", "GoogLeNet", "ResNet-18", "ResNet-50"} {
+		for _, bits := range []int{8, 6, 4, 2} {
+			n, err := model.ByName(name)
+			if err != nil {
+				t.Fatal(err)
+			}
+			rng := rand.New(rand.NewSource(workload.DeriveSeed(seed, "figure1", name, strconv.Itoa(bits))))
+			var want zeroCounts
+			for li, l := range n.Layers {
+				wn := min(int(l.Weights()), maxSamples)
+				an := min(int(l.Activations()), maxSamples)
+				jitter := 0.9 + 0.2*float64(int(hash(fmt.Sprintf("%s%d", name, li))%100))/100
+				wRaw := make([]float64, wn)
+				for i := range wRaw {
+					wRaw[i] = rng.NormFloat64()
+				}
+				aRaw := make([]float64, an)
+				for i := range aRaw {
+					aRaw[i] = rng.NormFloat64()
+				}
+				for _, v := range quant.QuantizeSigned(wRaw, 1, quant.Config{Bits: bits, ClipSigma: quant.DefaultWeightClip(bits) * jitter}) {
+					if v == 0 {
+						want.wZero++
+					}
+				}
+				for _, v := range quant.QuantizeUnsigned(aRaw, 1, quant.Config{Bits: bits, ClipSigma: quant.DefaultActClip(bits) * jitter}) {
+					if v == 0 {
+						want.aZero++
+					}
+				}
+				want.wTot += wn
+				want.aTot += an
+			}
+			got, err := figure1Counts(seed, name, bits)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if got != want {
+				t.Fatalf("seed %d %s %d bits: counts %+v, materialized loop %+v", seed, name, bits, got, want)
+			}
+		}
 	}
 }

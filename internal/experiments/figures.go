@@ -2,7 +2,6 @@ package experiments
 
 import (
 	"fmt"
-	"math/rand"
 	"strconv"
 
 	"ristretto/internal/atom"
@@ -40,71 +39,65 @@ func (b *Bench) Figure1() *Result {
 	}
 	nets := []string{"AlexNet", "VGG-16", "GoogLeNet", "ResNet-18", "ResNet-50"}
 	bitsList := []int{8, 6, 4, 2}
-	const maxSamples = 60000
-	type cell struct{ wSpar, aSpar float64 }
-	cells, err := mapCells(b, len(nets)*len(bitsList), func(i int) (cell, error) {
-		name := nets[i/len(bitsList)]
-		bits := bitsList[i%len(bitsList)]
-		n, err := model.ByName(name)
-		if err != nil {
-			return cell{}, err
-		}
-		// One independent stream per (network, bit-width) cell. The previous
-		// expression, seed ^ hash(name)*bits, parsed as seed ^ (hash*bits):
-		// multiplying by bits ∈ {2,4,8} shifted entropy out of the low bits
-		// and correlated the streams of one network across bit-widths.
-		rng := rand.New(rand.NewSource(workload.DeriveSeed(b.Seed, "figure1", name, strconv.Itoa(bits))))
-		var wZero, wTot, aZero, aTot int
-		for li, l := range n.Layers {
-			wn := int(l.Weights())
-			if wn > maxSamples {
-				wn = maxSamples
-			}
-			an := int(l.Activations())
-			if an > maxSamples {
-				an = maxSamples
-			}
-			// Per-network/per-layer clip jitter (±10%): quantized
-			// sparsity is scale-invariant for Gaussians, so varying σ
-			// alone would make every network identical; real networks
-			// differ in how tightly their learned clips sit.
-			jitter := 0.9 + 0.2*float64(int(hash(fmt.Sprintf("%s%d", name, li))%100))/100
-			wRaw := make([]float64, wn)
-			for i := range wRaw {
-				wRaw[i] = rng.NormFloat64()
-			}
-			aRaw := make([]float64, an)
-			for i := range aRaw {
-				aRaw[i] = rng.NormFloat64()
-			}
-			wq := quant.QuantizeSigned(wRaw, 1, quant.Config{Bits: bits, ClipSigma: quant.DefaultWeightClip(bits) * jitter})
-			aq := quant.QuantizeUnsigned(aRaw, 1, quant.Config{Bits: bits, ClipSigma: quant.DefaultActClip(bits) * jitter})
-			for _, v := range wq {
-				if v == 0 {
-					wZero++
-				}
-			}
-			for _, v := range aq {
-				if v == 0 {
-					aZero++
-				}
-			}
-			wTot += wn
-			aTot += an
-		}
-		return cell{
-			wSpar: float64(wZero) / float64(wTot),
-			aSpar: float64(aZero) / float64(aTot),
-		}, nil
+	cells, err := mapCells(b, len(nets)*len(bitsList), func(i int) (zeroCounts, error) {
+		return figure1Counts(b.Seed, nets[i/len(bitsList)], bitsList[i%len(bitsList)])
 	})
 	if err != nil {
 		return r.fail(err)
 	}
 	for i, c := range cells {
 		r.AddRow(nets[i/len(bitsList)], fmt.Sprintf("%d", bitsList[i%len(bitsList)]),
-			pct(c.wSpar), pct(c.aSpar))
+			pct(float64(c.wZero)/float64(c.wTot)), pct(float64(c.aZero)/float64(c.aTot)))
 	}
 	return r
+}
+
+// zeroCounts tallies one Figure 1 cell: the zero codes among the sampled
+// weights and activations, and the samples.
+type zeroCounts struct{ wZero, wTot, aZero, aTot int }
+
+// figure1Counts draws the Figure 1 cell of network name at the given
+// bit-width: up to maxSamples weights, then up to maxSamples
+// pre-activations per layer, in one normal stream per cell, and counts the
+// values each quantizer maps to code 0.
+func figure1Counts(seed int64, name string, bits int) (zeroCounts, error) {
+	const maxSamples = 60000
+	var c zeroCounts
+	n, err := model.ByName(name)
+	if err != nil {
+		return c, err
+	}
+	// One independent stream per (network, bit-width) cell. The previous
+	// expression, seed ^ hash(name)*bits, parsed as seed ^ (hash*bits):
+	// multiplying by bits ∈ {2,4,8} shifted entropy out of the low bits
+	// and correlated the streams of one network across bit-widths.
+	g := workload.NewGen(workload.DeriveSeed(seed, "figure1", name, strconv.Itoa(bits)))
+	buf := make([]float64, maxSamples)
+	zeros := func(samples int, q quant.Quantizer) int {
+		xs := buf[:samples]
+		g.Normals(xs)
+		z := 0
+		for _, x := range xs {
+			if q.Code(x) == 0 {
+				z++
+			}
+		}
+		return z
+	}
+	for li, l := range n.Layers {
+		wn := min(int(l.Weights()), maxSamples)
+		an := min(int(l.Activations()), maxSamples)
+		// Per-network/per-layer clip jitter (±10%): quantized sparsity is
+		// scale-invariant for Gaussians, so varying σ alone would make
+		// every network identical; real networks differ in how tightly
+		// their learned clips sit.
+		jitter := 0.9 + 0.2*float64(int(hash(fmt.Sprintf("%s%d", name, li))%100))/100
+		c.wZero += zeros(wn, quant.NewSigned(1, quant.Config{Bits: bits, ClipSigma: quant.DefaultWeightClip(bits) * jitter}))
+		c.aZero += zeros(an, quant.NewUnsigned(1, quant.Config{Bits: bits, ClipSigma: quant.DefaultActClip(bits) * jitter}))
+		c.wTot += wn
+		c.aTot += an
+	}
+	return c, nil
 }
 
 // Figure4 reproduces the Laconic sensitivity study: a tile of PEs (16

@@ -199,7 +199,6 @@ func runTile(jobs []tileJob, cfg CoreSimConfig, s *TileScratch, occ *telemetry.H
 		}
 		chunks := s.startJob(j.acts, j.weights, j.tile.W, j.tile.H, j.full, cfg.Tile)
 		for ci, chunk := range chunks {
-			s.startChunk(chunk)
 			if trace {
 				emit("chunk_start", ji, ci, fmt.Sprintf("m=%d shift=%d", len(chunk), chunk[0].Shift))
 			}
@@ -218,8 +217,7 @@ func runTile(jobs []tileJob, cfg CoreSimConfig, s *TileScratch, occ *telemetry.H
 				sum.Stages.Idle[telemetry.StageAtomulator] += load
 				free += load
 			}
-			for !s.cycle() {
-			}
+			s.runChunk(chunk)
 			s.fold(&sum.Stalls, &sum.Products, &sum.Deliveries, &sum.Conflicts, &sum.Stages, &sum.Counters)
 			free += s.tally.Cycles
 

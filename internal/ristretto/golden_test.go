@@ -238,3 +238,19 @@ func TestSimulateCoreWorkerInvariance(t *testing.T) {
 		}
 	}
 }
+
+// TestChunkPathsOnServeLayer runs the operands of core/sim_serve_layer (the
+// daemon's default /v1/sim layer, ResNet-18 conv4_2 at 4 bits and scale 16)
+// chunk by chunk through the kernel's entry point and through the stepped
+// loop. Both paths must be taken, and each chunk's results must agree.
+func TestChunkPathsOnServeLayer(t *testing.T) {
+	c := serveCase("ResNet-18", "conv4_2", "4b", 4, 1, 16)
+	closed, stepped, err := ristretto.CompareChunkPaths(c.f, c.w, c.core)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if closed == 0 || stepped == 0 {
+		t.Fatalf("%d chunks in closed form, %d stepped: want both paths taken", closed, stepped)
+	}
+	t.Logf("%d chunks in closed form, %d stepped", closed, stepped)
+}

@@ -1,11 +1,13 @@
 package ristretto
 
 import (
+	"fmt"
 	"math/rand"
 	"slices"
 	"testing"
 
 	"ristretto/internal/core"
+	"ristretto/internal/energy"
 	"ristretto/internal/tensor"
 )
 
@@ -160,10 +162,11 @@ func decodeChain(mults, depth, geom, outK uint8, actBytes, wBytes []byte) (acts 
 
 // FuzzChainKernel runs fuzzer-chosen activation and weight atom streams,
 // multiplier counts (1–256, so up to four FIFO mask words) and FIFO depths
-// (1–8) through the chain kernel and through refChain, chunk by chunk.
-// Per-chunk cycles, entered cycle, stalls, work counts, stage cycles,
-// energy counters and the accumulate-bank contents in touched order must
-// match, and so must the drained output buffer.
+// (1–8) through the chain kernel's runChunk and through refChain, chunk by
+// chunk, so it checks the closed form (a chunk of distinct output channels)
+// and the stepped loop alike. Per-chunk cycles, entered cycle, stalls, work
+// counts, stage cycles, energy counters and the accumulate-bank contents in
+// touched order must match, and so must the drained output buffer.
 func FuzzChainKernel(f *testing.F) {
 	rng := rand.New(rand.NewSource(1))
 	randBytes := func(n int, mask byte) []byte {
@@ -178,6 +181,16 @@ func FuzzChainKernel(f *testing.F) {
 	f.Add(uint8(99), uint8(1), uint8(17), uint8(2), randBytes(90, 0x7f), randBytes(600, 0xf0))
 	f.Add(uint8(0), uint8(7), uint8(100), uint8(1), randBytes(30, 0x7f), randBytes(45, 0xff))
 	f.Add(uint8(255), uint8(5), uint8(143), uint8(3), randBytes(150, 0xff), randBytes(900, 0xf7))
+	// Closed-form chunks: FIFO depth 1 on a 3×3 kernel over a 4×4 tile, with
+	// channels 0–3 in slice 0 and slice 1 and a repeated channel 0 in slice
+	// 2, which steps; then a single multiplier, where every chunk is one
+	// atom; then one-atom streams, with and without the Last flag.
+	f.Add(uint8(3), uint8(0), uint8(143), uint8(3),
+		[]byte{3, 64, 0x00, 1, 2, 0x01, 2, 64 | 2, 0x01, 1, 64, 0x09, 3, 0, 0x1b, 2, 64 | 4, 0x1b},
+		[]byte{1, 0, 0x00, 2, 8, 0x15, 3, 0, 0x2a, 1, 8, 0x35, 2, 1, 0x25, 3, 1, 0x10, 1, 9, 0x3a, 2, 1, 0x00, 1, 2, 0x00, 3, 2, 0x04})
+	f.Add(uint8(0), uint8(0), uint8(143), uint8(0), randBytes(45, 0x7f), randBytes(60, 0xff))
+	f.Add(uint8(7), uint8(3), uint8(143), uint8(3), []byte{5, 64, 0x09}, []byte{1, 0, 0x05, 2, 8, 0x16, 3, 0, 0x2a, 1, 0, 0x3f})
+	f.Add(uint8(7), uint8(0), uint8(143), uint8(3), []byte{5, 2, 0x09}, []byte{1, 0, 0x05, 2, 8, 0x16})
 	f.Fuzz(func(t *testing.T, mults, depth, geom, outK uint8, actBytes, wBytes []byte) {
 		acts, ws, cfg, kh, kw, tileW, tileH, out := decodeChain(mults, depth, geom, outK, actBytes, wBytes)
 		if len(acts) == 0 || len(ws) == 0 {
@@ -189,12 +202,7 @@ func FuzzChainKernel(f *testing.F) {
 		s := NewTileScratch()
 		chunks := s.startJob(acts, ws, tileW, tileH, out, cfg)
 		for ci, chunk := range chunks {
-			s.startChunk(chunk)
-			for n := 0; !s.cycle(); n++ {
-				if n > 1<<20 {
-					t.Fatalf("chunk %d did not finish", ci)
-				}
-			}
+			s.runChunk(chunk)
 			entered, want := ref.runChunk(acts, chunk)
 			if s.entered != entered || s.tally != want {
 				t.Fatalf("chunk %d: kernel entered %d, %+v\nreference entered %d, %+v", ci, s.entered, s.tally, entered, want)
@@ -217,4 +225,51 @@ func FuzzChainKernel(f *testing.F) {
 			t.Fatalf("drained output %v, reference %v", out.Data, refOut)
 		}
 	})
+}
+
+// CompareChunkPaths runs every chunk of SimulateCore's compute tiles for the
+// layer through runChunk on one scratch and through the stepped loop on
+// another. It returns how many chunks runChunk computed in closed form and
+// how many it stepped, and an error naming the first chunk whose cycles,
+// entered cycle, tally, touched order or banks differ. The golden tests,
+// which build the daemon's operands, call it.
+func CompareChunkPaths(f *tensor.FeatureMap, w *tensor.KernelStack, cfg CoreSimConfig) (closed, stepped int, err error) {
+	cfg = cfg.withDefaults()
+	l := newCoreLayer(f, w, cfg)
+	got, want := NewTileScratch(), NewTileScratch()
+	for g, jobs := range l.jobs {
+		for ji, j := range jobs {
+			if len(j.acts) == 0 || len(j.weights) == 0 {
+				continue
+			}
+			dst := make([]int32, len(j.full.Data))
+			chunks := got.startJob(j.acts, j.weights, j.tile.W, j.tile.H, j.full, cfg.Tile)
+			want.startJob(j.acts, j.weights, j.tile.W, j.tile.H, j.full, cfg.Tile)
+			for ci, chunk := range chunks {
+				got.runChunk(chunk)
+				if want.startChunk(chunk) {
+					closed++
+				} else {
+					stepped++
+				}
+				for !want.cycle() {
+				}
+				if got.entered != want.entered || got.tally != want.tally || !slices.Equal(got.touched, want.touched) {
+					return closed, stepped, fmt.Errorf("tile %d job %d chunk %d: runChunk entered %d, %+v, touched %v\nstepped entered %d, %+v, touched %v",
+						g, ji, ci, got.entered, got.tally, got.touched, want.entered, want.tally, want.touched)
+				}
+				for _, idx := range got.touched {
+					if got.bank[idx] != want.bank[idx] {
+						return closed, stepped, fmt.Errorf("tile %d job %d chunk %d: bank[%d] = %d, stepped %d", g, ji, ci, idx, got.bank[idx], want.bank[idx])
+					}
+				}
+				if ci == len(chunks)-1 || chunks[ci+1][0].Shift != chunk[0].Shift {
+					var cnt energy.Counters
+					got.drainBanks(dst, 0, &cnt)
+					want.drainBanks(dst, 0, &cnt)
+				}
+			}
+		}
+	}
+	return closed, stepped, nil
 }

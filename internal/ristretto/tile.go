@@ -56,13 +56,20 @@ type delivery struct {
 	val int32  // sign-applied, activation-shift-applied partial sum
 }
 
-// slot is one stage of the Atomputer chain: its static weight atom plus its
-// Atomulator FIFO cursor. The FIFO storage itself lives in TileScratch.fifo
-// (a fixed-capacity ring window per slot).
+// slot is one stage of the Atomputer chain: its static weight atom, in the
+// form its deliveries need, plus its Atomulator FIFO cursor. The FIFO
+// storage itself lives in TileScratch.fifo (a fixed-capacity ring window
+// per slot).
 type slot struct {
-	w    core.WeightAtom
-	head int32 // ring cursor into this slot's FIFO window
-	n    int32 // FIFO occupancy
+	// The product with the activation at tile position (x, y) lands at
+	// full-convolution coordinate (dx+x, dy+y) (Eq. 1), so at bank index
+	// off + the Eq. 2 address of (x, y): both equations are linear.
+	dx, dy int32
+	off    int32  // k*fullH*fullW + the Eq. 2 address of (dx, dy)
+	mag    int32  // the weight digit, sign applied
+	k      uint16 // output channel (selects the bank)
+	head   int32  // ring cursor into this slot's FIFO window
+	n      int32  // FIFO occupancy
 }
 
 // lastAtom is one Last-flagged atom of a job's activation stream. Only these
@@ -74,6 +81,7 @@ type lastAtom struct {
 	i    int32 // stream index
 	sum  int32 // Σ Mag<<Shift over the atoms of the value it closes
 	x, y uint8 // the value's tile coordinates
+	addr int32 // the Eq. 2 address of (x, y)
 }
 
 // TileScratch owns the reusable simulation state of one compute tile, so a
@@ -82,14 +90,16 @@ type lastAtom struct {
 // nothing at all per simulated cycle. All fields are sized lazily against
 // the largest intersection seen. The zero value is ready to use.
 //
-// It is also the one per-cycle Atomputer/Atomulator kernel both simulators
-// call: startJob and startChunk load an intersection and a static-stream
-// chunk, and each cycle call advances the chunk by one pipeline cycle;
-// SimulateIntersectionScratch and each compute tile of the core simulator
-// loop it to the chunk's end. The kernel only touches
-// what is in flight: the chain is a window over the activation stream, only
-// slots holding a Last atom deliver, and the crossbar visits the non-empty
-// FIFOs of a bitmask.
+// It is also the one Atomputer/Atomulator kernel both simulators call:
+// startJob loads an intersection and splits its static stream into chunks,
+// and runChunk runs one chunk to its end, for SimulateIntersectionScratch
+// and for each compute tile of the core simulator alike. A chunk whose
+// slots hold pairwise distinct output channels cannot conflict or stall,
+// so runChunk computes it in closed form (runDistinct); any other chunk is
+// stepped one pipeline cycle at a time (startChunk, then cycle until it
+// reports the end). The stepped kernel only touches what is in flight: the
+// chain is a window over the activation stream, only slots holding a Last
+// atom deliver, and the crossbar visits the non-empty FIFOs of a bitmask.
 //
 // Invariant between runs: bank is all-zero and present/touched empty (every
 // run drains fully), so re-use needs no explicit clearing. A scratch also
@@ -135,19 +145,20 @@ func NewTileScratch() *TileScratch { return &TileScratch{} }
 // out, sizes the accumulate banks for it and returns the static stream split
 // into slice-aligned chunks of at most cfg.Mults atoms.
 func (s *TileScratch) startJob(acts []core.ActAtom, weights []core.WeightAtom, tileW, tileH int, out *tensor.OutputMap, cfg TileConfig) [][]core.WeightAtom {
+	s.t, s.depth = len(acts), cfg.FIFODepth
+	s.kh, s.kw, s.tileW = out.H-tileH+1, out.W-tileW+1, tileW
+	s.fullW, s.fullH = out.W, out.H
+	s.plane = int32(out.W * out.H)
 	s.lasts = s.lasts[:0]
 	var sum int32
 	for i, a := range acts {
 		sum += int32(a.Mag) << a.Shift
 		if a.Last {
-			s.lasts = append(s.lasts, lastAtom{i: int32(i), sum: sum, x: a.X, y: a.Y})
+			addr := int32(core.OutAddr(int(a.X), int(a.Y), tileW, s.kw))
+			s.lasts = append(s.lasts, lastAtom{i: int32(i), sum: sum, x: a.X, y: a.Y, addr: addr})
 			sum = 0
 		}
 	}
-	s.t, s.depth = len(acts), cfg.FIFODepth
-	s.kh, s.kw, s.tileW = out.H-tileH+1, out.W-tileW+1, tileW
-	s.fullW, s.fullH = out.W, out.H
-	s.plane = int32(out.W * out.H)
 
 	// The touched list holds each bank index at most once and a cycle
 	// writes each channel at most once, so both are sized up front.
@@ -185,15 +196,29 @@ func grow(v []uint64, n int) []uint64 {
 }
 
 // startChunk loads a static-stream chunk into the chain with empty FIFOs and
-// a zero tally.
-func (s *TileScratch) startChunk(chunk []core.WeightAtom) {
+// a zero tally, and reports whether its slots hold pairwise distinct output
+// channels. The check borrows the crossbar's per-cycle channel mask, which
+// is clear between cycles, and clears it again.
+func (s *TileScratch) startChunk(chunk []core.WeightAtom) (distinct bool) {
 	m := len(chunk)
 	if cap(s.slots) < m {
 		s.slots = make([]slot, m)
 	}
 	s.slots = s.slots[:m]
-	for j := range s.slots {
-		s.slots[j] = slot{w: chunk[j]}
+	distinct = true
+	for j, w := range chunk {
+		dx, dy := core.OutCoord(int(w.X), int(w.Y), 0, 0, s.kh, s.kw)
+		mag := int32(w.Mag)
+		if w.Sign {
+			mag = -mag
+		}
+		s.slots[j] = slot{dx: int32(dx), dy: int32(dy), off: int32(w.K)*s.plane + int32(core.OutAddr(dx, dy, s.tileW, s.kw)), mag: mag, k: w.K}
+		bit := uint64(1) << (w.K & 63)
+		distinct = distinct && s.written[w.K>>6]&bit == 0
+		s.written[w.K>>6] |= bit
+	}
+	for _, w := range chunk {
+		s.written[w.K>>6] = 0
 	}
 	if need := m * s.depth; cap(s.fifo) < need {
 		s.fifo = make([]delivery, need)
@@ -203,10 +228,15 @@ func (s *TileScratch) startChunk(chunk []core.WeightAtom) {
 	s.busy, s.full = 0, 0
 	s.adv, s.lc, s.entered = 0, 0, 0
 	s.tally = TileResult{}
+	return distinct
 }
 
 // cycle advances the loaded chunk by one pipeline cycle and reports whether
 // it is finished: the stream consumed, the chain empty and all FIFOs drained.
+// runChunk steps it only for chunks that repeat an output channel; for the
+// others runDistinct computes its result in closed form. The lockstep
+// oracle of the core simulator's tests steps it for every chunk, so the
+// tests hold the two paths to each other.
 //
 //  1. Crossbar: each bank accepts one delivery per cycle, FIFOs visited in
 //     ascending slot order; a delivery whose bank was already written this
@@ -244,12 +274,7 @@ func (s *TileScratch) cycle() bool {
 					s.busy--
 					s.live[wi] &^= 1 << uint(j&63)
 				}
-				idx := d.idx
-				if s.present[idx>>6]&(1<<uint(idx&63)) == 0 {
-					s.present[idx>>6] |= 1 << uint(idx&63)
-					s.touched = append(s.touched, idx)
-				}
-				s.bank[idx] += d.val
+				s.accumulate(d.idx, d.val)
 				wrote++
 			}
 		}
@@ -289,20 +314,15 @@ func (s *TileScratch) cycle() bool {
 				}
 				j := a - 1 - int(la.i)
 				sl := &s.slots[j]
-				w := sl.w
-				xo, yo := core.OutCoord(int(w.X), int(w.Y), int(la.x), int(la.y), s.kh, s.kw)
-				if xo < 0 || xo >= s.fullW || yo < 0 || yo >= s.fullH { // comp module
+				d, ok := s.product(sl, &la)
+				if !ok {
 					continue
-				}
-				v := int32(w.Mag) * la.sum
-				if w.Sign {
-					v = -v
 				}
 				tail := int(sl.head + sl.n)
 				if tail >= depth {
 					tail -= depth
 				}
-				s.fifo[j*depth+tail] = delivery{k: w.K, idx: int32(w.K)*s.plane + int32(core.OutAddr(xo, yo, s.tileW, s.kw)), val: v}
+				s.fifo[j*depth+tail] = d
 				if sl.n == 0 {
 					s.busy++
 					s.live[j>>6] |= 1 << uint(j&63)
@@ -325,6 +345,92 @@ func (s *TileScratch) cycle() bool {
 		s.entered = r.Cycles
 	}
 	return s.adv >= s.t+len(s.slots) && s.busy == 0
+}
+
+// product is the delivery slot sl sends when Last atom la reaches it. It
+// reports false when the comp module drops the product because its output
+// coordinate falls outside the full-convolution buffer.
+func (s *TileScratch) product(sl *slot, la *lastAtom) (delivery, bool) {
+	if uint(sl.dx+int32(la.x)) >= uint(s.fullW) || uint(sl.dy+int32(la.y)) >= uint(s.fullH) {
+		return delivery{}, false
+	}
+	return delivery{k: sl.k, idx: sl.off + la.addr, val: sl.mag * la.sum}, true
+}
+
+// accumulate writes one delivery into accumulate bank idx, recording the
+// bank's first write.
+func (s *TileScratch) accumulate(idx, val int32) {
+	if s.present[idx>>6]&(1<<uint(idx&63)) == 0 {
+		s.present[idx>>6] |= 1 << uint(idx&63)
+		s.touched = append(s.touched, idx)
+	}
+	s.bank[idx] += val
+}
+
+// runChunk runs one static-stream chunk of the loaded job to its end: the
+// chunk's cycles, entered cycle and tally land in s, its deliveries in the
+// accumulate banks. A chunk whose slots hold pairwise distinct output
+// channels runs in closed form; any other is stepped cycle by cycle.
+func (s *TileScratch) runChunk(chunk []core.WeightAtom) {
+	if s.startChunk(chunk) {
+		s.runDistinct()
+		return
+	}
+	for !s.cycle() {
+	}
+}
+
+// runDistinct is the closed form of cycle's loop for a loaded chunk of m
+// slots with pairwise distinct output channels over a stream of t atoms.
+// Every delivery a slot pushes goes to its own channel's banks, so the
+// crossbar never defers one: each FIFO is emptied on the cycle after its
+// push and never fills, and the chain advances every cycle. Slot j
+// multiplies stream atom i on cycle i+j+1, the last atom enters on cycle t,
+// the last product leaves slot m-1 on cycle t+m-1 and its delivery is
+// written on cycle t+m, the chunk's last. The crossbar writes the
+// deliveries pushed on one cycle on the next, slots ascending, so they are
+// applied diagonal by diagonal (d = i+j), slots ascending: the loop's
+// first-write order.
+func (s *TileScratch) runDistinct() {
+	t, m := int64(s.t), int64(len(s.slots))
+	r := &s.tally
+	*r = TileResult{Cycles: t + m, Products: t * m}
+	s.entered = t
+	// The Atomulator writes on the cycle after each cycle that pushed a
+	// delivery, and is idle on every other cycle.
+	var writes, delivered int64
+	lasts := s.lasts
+	for d, lo, hi := 0, 0, 0; lo < len(lasts); d++ {
+		// Slots 0..m-1 hold stream atoms d..d-m+1: Last atoms lasts[lo:hi].
+		for hi < len(lasts) && int(lasts[hi].i) <= d {
+			hi++
+		}
+		for lo < hi && int64(lasts[lo].i) <= int64(d)-m {
+			lo++
+		}
+		n := delivered
+		for q := hi - 1; q >= lo; q-- {
+			la := &lasts[q]
+			if dl, ok := s.product(&s.slots[d-int(la.i)], la); ok {
+				s.accumulate(dl.idx, dl.val)
+				delivered++
+			}
+		}
+		if delivered > n {
+			writes++
+		}
+	}
+	r.Deliveries = delivered
+	r.Counters.AccBufBytes = 4 * delivered
+	r.Counters.AtomMuls = t * m
+	r.Counters.AtomizerOps = t
+	r.Counters.InputBufBytes = t
+	// The Atomizer feeds on cycles 1..t; the Atomputer multiplies on every
+	// cycle but the last, when the chain is empty.
+	st := &r.Stages
+	st.Busy[telemetry.StageAtomizer], st.Idle[telemetry.StageAtomizer] = t, m
+	st.Busy[telemetry.StageAtomputer], st.Idle[telemetry.StageAtomputer] = t+m-1, 1
+	st.Busy[telemetry.StageAtomulator], st.Idle[telemetry.StageAtomulator] = writes, t+m-writes
 }
 
 // fold adds the finished chunk's stalls, work, stage cycles and counters
@@ -393,12 +499,10 @@ func SimulateIntersectionScratch(acts []core.ActAtom, weights []core.WeightAtom,
 
 	for ci, chunk := range chunks {
 		res.Rounds++
-		s.startChunk(chunk)
 		// Static-stream load: 1 B per atom (incl. metadata) every round —
 		// the ping-pong registers hide the load latency, not the traffic.
 		res.Counters.WeightBufBytes += int64(len(chunk))
-		for !s.cycle() {
-		}
+		s.runChunk(chunk)
 		s.fold(&res.StallCycles, &res.Products, &res.Deliveries, &res.Conflicts, &res.Stages, &res.Counters)
 		// Ping-pong overlap: all but the final chunk hide their drain under
 		// the next chunk's fill.

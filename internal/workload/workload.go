@@ -112,6 +112,10 @@ func NewGen(seed int64) *Gen {
 	return &Gen{src: src, rng: rand.New(src)}
 }
 
+// Normals fills xs with the generator's next len(xs) standard normals: the
+// values rand.New(rand.NewSource(seed)).NormFloat64 would return, in order.
+func (g *Gen) Normals(xs []float64) { g.src.normals(xs, g.rng) }
+
 // FeatureMap generates a c×h×w activation map at the given bit-width:
 // rectified-Gaussian values quantized with the default activation clip, then
 // pruned (smallest magnitudes first) toward the target value density.
