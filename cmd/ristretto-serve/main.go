@@ -2,7 +2,9 @@
 // repository's engines (analytic model, cycle-accurate core simulator,
 // quantization sweep, conformance spot-checks) behind the hardened HTTP
 // layer of internal/server — a response memo for /v1/model, /v1/sim and
-// /v1/quant, admission control with load shedding, per-request deadlines
+// /v1/quant, a store of /v1/sim layers after the core simulator's
+// per-channel pass (shared by requests that differ only in tiles or
+// balance), admission control with load shedding, per-request deadlines
 // and panic isolation, a circuit breaker that degrades cycle-accurate
 // answers to the analytic model under queue pressure, and graceful drain
 // on SIGINT/SIGTERM (exit 0).
@@ -66,7 +68,7 @@ func main() {
 	breakerThreshold := flag.Duration("breaker-threshold", 250*time.Millisecond, "queue wait that degrades /v1/sim to the analytic model (negative disables)")
 	breakerCooldown := flag.Duration("breaker-cooldown", 2*time.Second, "how long the breaker stays open after the last slow wait")
 	breakerHardFactor := flag.Int("breaker-hard-factor", 0, "multiple of breaker-threshold at which interactive traffic also degrades (0 = 4)")
-	cacheEntries := flag.Int("cache-entries", 0, "memo cache capacity for /v1/model, /v1/sim and /v1/quant (0 = 4096, negative disables)")
+	cacheEntries := flag.Int("cache-entries", 0, "memo cache capacity for /v1/model, /v1/sim and /v1/quant (0 = 4096, negative disables it and the /v1/sim layer store)")
 	batchQueueShare := flag.Int("batch-queue-share", 0, "admission-queue places the batch priority class may occupy (0 = queue/2)")
 	tenantRate := flag.Float64("tenant-rate", 0, "per-tenant token refill in requests/second (0 disables quotas)")
 	tenantBurst := flag.Float64("tenant-burst", 0, "per-tenant token bucket capacity (0 = max(1, tenant-rate))")

@@ -40,6 +40,7 @@ func Registry() []Benchmark {
 		{Name: "tile/intersect_contended", Fn: benchTileContended},
 		{Name: "core/sim_layer_8x8x4", Fn: benchCoreSimLayer},
 		{Name: "core/sim_serve_layer", Fn: benchCoreSimServe},
+		{Name: "core/sim_serve_reshape", Fn: benchCoreSimReshape},
 		{Name: "core/act_stream_16x16", Fn: benchActStream},
 		{Name: "core/weight_stream_16k", Fn: benchWeightStream},
 		{Name: "atom/decompose_sweep_8b", Fn: benchAtomDecompose},
@@ -108,6 +109,32 @@ func benchCoreSimLayer(b *testing.B) {
 // of 8 tiles × 32 multipliers with w/a balancing. Stream building and
 // balancing are timed; operand synthesis is not.
 func benchCoreSimServe(b *testing.B) {
+	f, w, l := serveLayer(b)
+	cfg := ristretto.CoreSimConfig{Tiles: 8, Tile: ristretto.TileConfig{Mults: 32, Gran: 2}, Policy: balance.WeightAct}
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		ristretto.SimulateCore(f, w, l.Stride, l.Pad, cfg)
+	}
+}
+
+// benchCoreSimReshape is what a /v1/sim request that changes only the core
+// shape pays once the daemon holds its layer: the per-shape step
+// (CoreLayer.Run: balancing and drain placement) at 16 tiles on the
+// core/sim_serve_layer layer, prepared once outside the timer.
+func benchCoreSimReshape(b *testing.B) {
+	f, w, l := serveLayer(b)
+	layer := ristretto.PrepareCore(f, w, l.Stride, l.Pad, ristretto.CoreSimConfig{Tile: ristretto.TileConfig{Mults: 32, Gran: 2}})
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		layer.Run(16, balance.WeightAct)
+	}
+}
+
+// serveLayer draws the operands of the daemon's default /v1/sim layer,
+// ResNet-18 conv4_2 at 4 bits and scale 16, the way the daemon draws them.
+func serveLayer(b *testing.B) (*tensor.FeatureMap, *tensor.KernelStack, model.Layer) {
 	n := model.ResNet18()
 	l, err := experiments.NewQuickBench(1, 16).Scaled(n).Layer("conv4_2")
 	if err != nil {
@@ -115,12 +142,7 @@ func benchCoreSimServe(b *testing.B) {
 	}
 	g := workload.NewGen(workload.DeriveSeed(1, "serve-sim", n.Name, l.Name, "4b"))
 	f, w := g.LayerOperands(l, 4, 4, workload.EvalTargets(n.Name, 4, 4))
-	cfg := ristretto.CoreSimConfig{Tiles: 8, Tile: ristretto.TileConfig{Mults: 32, Gran: 2}, Policy: balance.WeightAct}
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		ristretto.SimulateCore(f, w, l.Stride, l.Pad, cfg)
-	}
+	return f, w, l
 }
 
 // benchActStream measures building one tile's compressed activation atom

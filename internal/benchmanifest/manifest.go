@@ -1,11 +1,13 @@
 package benchmanifest
 
 import (
+	"cmp"
 	"encoding/json"
 	"fmt"
 	"math"
 	"os"
 	"runtime"
+	"slices"
 	"sort"
 	"testing"
 
@@ -15,13 +17,21 @@ import (
 // Schema identifies the manifest format.
 const Schema = "ristretto.bench-manifest/v1"
 
-// Entry is one benchmark measurement.
+// Samples is how many testing.Benchmark runs Run takes of each entry. One
+// run of unchanged code moves by more than the CI gate's tolerance between
+// back-to-back manifests on a shared 2-vCPU machine; the median of five
+// holds still.
+const Samples = 5
+
+// Entry is one benchmark measurement: the sample with the median ns/op of
+// Samples runs, its allocations and bytes included.
 type Entry struct {
 	Name        string  `json:"name"`
 	NsPerOp     float64 `json:"ns_per_op"`
 	AllocsPerOp int64   `json:"allocs_per_op"`
 	BytesPerOp  int64   `json:"bytes_per_op"`
-	Iterations  int     `json:"iterations"`
+	Iterations  int     `json:"iterations"`        // b.N of the median sample
+	Samples     int     `json:"samples,omitempty"` // runs the median is taken over; 0 in manifests of one run
 }
 
 // Manifest is the committed benchmark document (BENCH_*.json): the measured
@@ -54,24 +64,40 @@ func New(tool string) *Manifest {
 	}
 }
 
-// Run executes every registry benchmark through testing.Benchmark and
-// records the results. progress, when non-nil, receives a line per entry.
+// Run executes every registry benchmark Samples times through
+// testing.Benchmark and records each one's median sample. progress, when
+// non-nil, receives a line per entry.
 func (m *Manifest) Run(progress func(string)) {
 	for _, bm := range Registry() {
-		r := testing.Benchmark(bm.Fn)
-		e := Entry{
-			Name:        bm.Name,
+		rs := make([]testing.BenchmarkResult, Samples)
+		for i := range rs {
+			rs[i] = testing.Benchmark(bm.Fn)
+		}
+		e := median(bm.Name, rs)
+		m.Entries = append(m.Entries, e)
+		if progress != nil {
+			progress(fmt.Sprintf("%-28s %12.1f ns/op %8d B/op %6d allocs/op (%d iters, median of %d)",
+				e.Name, e.NsPerOp, e.BytesPerOp, e.AllocsPerOp, e.Iterations, e.Samples))
+		}
+	}
+}
+
+// median returns the entry of the sample with the median ns/op (the upper
+// one of an even count), with that sample's allocations and bytes.
+func median(name string, rs []testing.BenchmarkResult) Entry {
+	es := make([]Entry, len(rs))
+	for i, r := range rs {
+		es[i] = Entry{
+			Name:        name,
 			NsPerOp:     float64(r.T.Nanoseconds()) / float64(r.N),
 			AllocsPerOp: r.AllocsPerOp(),
 			BytesPerOp:  r.AllocedBytesPerOp(),
 			Iterations:  r.N,
-		}
-		m.Entries = append(m.Entries, e)
-		if progress != nil {
-			progress(fmt.Sprintf("%-28s %12.1f ns/op %8d B/op %6d allocs/op (%d iters)",
-				e.Name, e.NsPerOp, e.BytesPerOp, e.AllocsPerOp, e.Iterations))
+			Samples:     len(rs),
 		}
 	}
+	slices.SortStableFunc(es, func(a, b Entry) int { return cmp.Compare(a.NsPerOp, b.NsPerOp) })
+	return es[len(es)/2]
 }
 
 // ComputeSpeedup fills GeomeanSpeedup from the Baseline entries: the

@@ -4,6 +4,7 @@ import (
 	"math"
 	"path/filepath"
 	"testing"
+	"time"
 )
 
 func manifestPair() (*Manifest, *Manifest) {
@@ -71,9 +72,38 @@ func TestComputeSpeedupGeomean(t *testing.T) {
 	}
 }
 
+// TestMedianSample: an entry is the sample with the median ns/op, with that
+// sample's allocations, bytes and iterations, whatever order the samples
+// ran in.
+func TestMedianSample(t *testing.T) {
+	sample := func(ns, allocs, bytes int64) testing.BenchmarkResult {
+		return testing.BenchmarkResult{N: 10, T: time.Duration(10 * ns), MemAllocs: uint64(10 * allocs), MemBytes: uint64(10 * bytes)}
+	}
+	rs := []testing.BenchmarkResult{sample(900, 1, 10), sample(400, 2, 20), sample(700, 3, 30), sample(100, 4, 40), sample(600, 5, 50)}
+	want := Entry{Name: "x", NsPerOp: 600, AllocsPerOp: 5, BytesPerOp: 50, Iterations: 10, Samples: 5}
+	if got := median("x", rs); got != want {
+		t.Fatalf("median of five = %+v, want %+v", got, want)
+	}
+	if got := median("x", rs[:1]); got.NsPerOp != 900 || got.AllocsPerOp != 1 || got.Samples != 1 {
+		t.Fatalf("median of one = %+v, want the sample itself", got)
+	}
+}
+
+// TestLoadSingleSampleManifest: manifests written before entries recorded
+// their sample count still load, with Samples zero.
+func TestLoadSingleSampleManifest(t *testing.T) {
+	m, err := Load(filepath.Join("..", "..", "BENCH_022.json"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(m.Entries) == 0 || m.Entries[0].Samples != 0 || m.Entries[0].NsPerOp <= 0 {
+		t.Fatalf("BENCH_022.json entries %+v", m.Entries)
+	}
+}
+
 func TestWriteLoadRoundTrip(t *testing.T) {
 	m := New("test")
-	m.Entries = []Entry{{Name: "a", NsPerOp: 123.5, AllocsPerOp: 1, BytesPerOp: 2, Iterations: 7}}
+	m.Entries = []Entry{{Name: "a", NsPerOp: 123.5, AllocsPerOp: 1, BytesPerOp: 2, Iterations: 7, Samples: 5}}
 	path := filepath.Join(t.TempDir(), "bench.json")
 	if err := m.Write(path); err != nil {
 		t.Fatal(err)
@@ -108,6 +138,7 @@ func TestRegistryNamesStable(t *testing.T) {
 		"tile/intersect_contended",
 		"core/sim_layer_8x8x4",
 		"core/sim_serve_layer",
+		"core/sim_serve_reshape",
 		"core/act_stream_16x16",
 		"core/weight_stream_16k",
 		"atom/decompose_sweep_8b",

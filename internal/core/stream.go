@@ -23,6 +23,7 @@ package core
 
 import (
 	"math/bits"
+	"slices"
 
 	"ristretto/internal/atom"
 	"ristretto/internal/sparse"
@@ -200,13 +201,14 @@ func CompressWeights(elems []WeightElem, bits int, n atom.Granularity, dense boo
 		}
 		b.add(e.Val, e.X, e.Y, e.K)
 	}
-	return b.finish()
+	return b.finish(nil)
 }
 
 // WeightStreamer builds static weight streams, reusing its temporaries
 // from call to call: a sweep over a layer's input channels then allocates
-// only the streams it returns. The zero value is ready to use; a streamer
-// is not safe for concurrent use.
+// only the streams it returns, or nothing when it appends them to a
+// reused buffer. The zero value is ready to use; a streamer is not safe for
+// concurrent use.
 //
 // A stream is built in one pass over its weights, channel by channel. Each
 // weight's atoms go straight to the regions of their slices, so every
@@ -235,6 +237,12 @@ type chanRun struct{ start, n int32 }
 // set. It reads the kernel's (k, c) blocks directly. The returned slice is
 // freshly allocated.
 func (b *WeightStreamer) Stream(w *tensor.KernelStack, c int, n atom.Granularity, dense bool) []WeightAtom {
+	return b.AppendStream(nil, w, c, n, dense)
+}
+
+// AppendStream appends input channel c's static stream (see Stream) to
+// dst and returns the extended slice.
+func (b *WeightStreamer) AppendStream(dst []WeightAtom, w *tensor.KernelStack, c int, n atom.Granularity, dense bool) []WeightAtom {
 	area := w.KH * w.KW
 	b.start(w.Bits, n, dense, w.K*area, w.K)
 	for k := 0; k < w.K; k++ {
@@ -248,7 +256,7 @@ func (b *WeightStreamer) Stream(w *tensor.KernelStack, c int, n atom.Granularity
 		}
 		b.endChannel()
 	}
-	return b.finish()
+	return b.finish(dst)
 }
 
 // resized returns v resliced to n elements, reallocating only when it is
@@ -320,19 +328,20 @@ func (b *WeightStreamer) endChannel() {
 	}
 }
 
-// finish closes the last channel and emits the stream: slice by slice,
-// round-robin over the slice's channel runs, so that adjacent stream slots
-// target distinct accumulate banks (the Figure 9 stream shuffle).
-func (b *WeightStreamer) finish() []WeightAtom {
+// finish closes the last channel and appends the stream to out: slice by
+// slice, round-robin over the slice's channel runs, so that adjacent
+// stream slots target distinct accumulate banks (the Figure 9 stream
+// shuffle).
+func (b *WeightStreamer) finish(out []WeightAtom) []WeightAtom {
 	b.endChannel()
 	total := 0
 	for _, f := range b.fill {
 		total += int(f)
 	}
 	if total == 0 {
-		return nil
+		return out
 	}
-	out := make([]WeightAtom, 0, total)
+	out = slices.Grow(out, total)
 	for s, runs := range b.runs {
 		seg := b.atoms[s*b.stride:]
 		for len(runs) > 0 {
@@ -358,6 +367,12 @@ func (b *WeightStreamer) finish() []WeightAtom {
 // iteration, so the per-element branch of the flatten phase disappears on
 // sparse data. Atomization goes through the precomputed digit tables.
 func StreamTileActs(f *tensor.FeatureMap, c int, tl tensor.Tile, n atom.Granularity) []ActAtom {
+	return AppendTileActs(nil, f, c, tl, n)
+}
+
+// AppendTileActs appends the stream StreamTileActs builds to dst and
+// returns the extended slice.
+func AppendTileActs(dst []ActAtom, f *tensor.FeatureMap, c int, tl tensor.Tile, n atom.Granularity) []ActAtom {
 	n.Validate()
 	var words [4]uint64 // tiles are ≤256 wide (8-bit block-COO coordinates)
 	masks := words[:0]
@@ -379,7 +394,7 @@ func StreamTileActs(f *tensor.FeatureMap, c int, tl tensor.Tile, n atom.Granular
 	}
 
 	// Pass 2: fill.
-	out := make([]ActAtom, 0, total)
+	out := slices.Grow(dst, total)
 	for y := 0; y < tl.H; y++ {
 		row := f.Data[chanBase+(tl.Y0+y)*f.W+tl.X0:]
 		row = row[:tl.W]

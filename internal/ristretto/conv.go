@@ -74,7 +74,7 @@ func SimulateConv(f *tensor.FeatureMap, w *tensor.KernelStack, stride, pad int, 
 	groups := balance.Assign(cfg.Policy, ls.costs, ls.watoms, cfg.Tiles)
 
 	res := SimResult{TileCycles: make([]int64, cfg.Tiles)}
-	fulls := ls.accumulators(w)
+	fulls := accumulators(ls.tiles, w)
 	scratch := NewTileScratch() // one scratch reused across every intersection
 	for g, chans := range groups {
 		for _, c := range chans {
@@ -94,13 +94,12 @@ func SimulateConv(f *tensor.FeatureMap, w *tensor.KernelStack, stride, pad int, 
 			res.Cycles = c
 		}
 	}
-	res.Output = ls.output(fulls, f, w, stride, pad)
+	res.Output = assemble(ls.tiles, fulls, f, w, stride, pad)
 	return res
 }
 
-// layerStreams is the offline step both cycle simulators start with: a
-// layer's compressed operand streams and the balancing statistics read off
-// them.
+// layerStreams is SimulateConv's offline step: a layer's compressed operand
+// streams and the balancing statistics read off them.
 type layerStreams struct {
 	tiles   []tensor.Tile       // the spatial tiling of the input plane
 	weights [][]core.WeightAtom // [c]: input channel c's static stream over every output channel
@@ -114,13 +113,7 @@ type layerStreams struct {
 // fanned out over fanOut. dense keeps zero atoms and zero values
 // (Ristretto-ns); tw×th is the spatial tile, 0 meaning the whole plane.
 func buildStreams(f *tensor.FeatureMap, w *tensor.KernelStack, tw, th int, tile TileConfig, dense bool) *layerStreams {
-	if tw == 0 {
-		tw = f.W
-	}
-	if th == 0 {
-		th = f.H
-	}
-	tiles := tensor.TileGrid(f.W, f.H, tw, th)
+	tiles := tileGrid(f, tw, th)
 	ls := &layerStreams{
 		tiles:   tiles,
 		weights: make([][]core.WeightAtom, f.C),
@@ -149,22 +142,34 @@ func buildStreams(f *tensor.FeatureMap, w *tensor.KernelStack, tw, th int, tile 
 	return ls
 }
 
+// tileGrid is the tiling of f's plane into tw×th spatial tiles, 0
+// meaning the whole plane.
+func tileGrid(f *tensor.FeatureMap, tw, th int) []tensor.Tile {
+	if tw == 0 {
+		tw = f.W
+	}
+	if th == 0 {
+		th = f.H
+	}
+	return tensor.TileGrid(f.W, f.H, tw, th)
+}
+
 // accumulators returns one full-convolution accumulator per spatial tile,
 // shared by every intersection on it: int32 adds commute, so the order in
 // which intersections drain into it cannot change the output.
-func (ls *layerStreams) accumulators(w *tensor.KernelStack) []*tensor.OutputMap {
-	fulls := make([]*tensor.OutputMap, len(ls.tiles))
-	for ti, tl := range ls.tiles {
+func accumulators(tiles []tensor.Tile, w *tensor.KernelStack) []*tensor.OutputMap {
+	fulls := make([]*tensor.OutputMap, len(tiles))
+	for ti, tl := range tiles {
 		fulls[ti] = tensor.NewOutputMap(w.K, tl.H+w.KH-1, tl.W+w.KW-1)
 	}
 	return fulls
 }
 
-// output overlap-adds the spatial tiles' accumulators into the layer's full
-// convolution and extracts the strided, padded output.
-func (ls *layerStreams) output(fulls []*tensor.OutputMap, f *tensor.FeatureMap, w *tensor.KernelStack, stride, pad int) *tensor.OutputMap {
+// assemble overlap-adds the spatial tiles' accumulators into the layer's
+// full convolution and extracts the strided, padded output.
+func assemble(tiles []tensor.Tile, fulls []*tensor.OutputMap, f *tensor.FeatureMap, w *tensor.KernelStack, stride, pad int) *tensor.OutputMap {
 	global := tensor.NewOutputMap(w.K, tensor.FullConvSize(f.H, w.KH), tensor.FullConvSize(f.W, w.KW))
-	for ti, tl := range ls.tiles {
+	for ti, tl := range tiles {
 		refconv.AddTileFull(global, fulls[ti], tl)
 	}
 	return refconv.ExtractStrided(global, f.H, f.W, w.KH, w.KW, stride, pad)

@@ -20,6 +20,33 @@ import (
 // compute tile's state machine once per cycle and the port goes to the
 // first draining tile in index order.
 
+// tileJob is one (input channel, spatial tile) intersection assigned to a
+// compute tile.
+type tileJob struct {
+	acts    []core.ActAtom
+	weights []core.WeightAtom
+	tile    tensor.Tile
+	full    *tensor.OutputMap // the spatial tile's full-convolution accumulator, shared by its jobs
+}
+
+// lockstepLayer is the oracle's offline step: the layer's streams balanced
+// onto the compute tiles as per-tile job lists, channel-major, and each
+// spatial tile's accumulator.
+func lockstepLayer(f *tensor.FeatureMap, w *tensor.KernelStack, cfg CoreSimConfig) (ls *layerStreams, jobs [][]tileJob, fulls []*tensor.OutputMap) {
+	ls = buildStreams(f, w, cfg.TileW, cfg.TileH, cfg.Tile, false)
+	fulls = accumulators(ls.tiles, w)
+	for _, chans := range balance.Assign(cfg.Policy, ls.costs, ls.watoms, cfg.Tiles) {
+		var js []tileJob
+		for _, c := range chans {
+			for ti, tl := range ls.tiles {
+				js = append(js, tileJob{acts: ls.acts[c*len(ls.tiles)+ti], weights: ls.weights[c], tile: tl, full: fulls[ti]})
+			}
+		}
+		jobs = append(jobs, js)
+	}
+	return ls, jobs, fulls
+}
+
 // traceCtx stamps a lockstep tile's events with the global cycle.
 type traceCtx struct {
 	tracer Tracer
@@ -67,12 +94,11 @@ type coreTile struct {
 	drainShift   uint8 // decoupled weight-slice shift of the pending drain
 	drainEntries int   // accumulate-bank entries in the pending drain
 
-	occ  *telemetry.Histogram // accumulate-bank occupancy at drain (nil = telemetry off)
 	busy int64
 }
 
-func newCoreTile(cfg TileConfig, loadWidth, drainWidth int, jobs []tileJob, tc *traceCtx, occ *telemetry.Histogram, res *CoreSimResult) *coreTile {
-	t := &coreTile{cfg: cfg, loadWidth: loadWidth, drainWidth: drainWidth, jobs: jobs, s: NewTileScratch(), tc: tc, occ: occ}
+func newCoreTile(cfg TileConfig, loadWidth, drainWidth int, jobs []tileJob, tc *traceCtx, res *CoreSimResult) *coreTile {
+	t := &coreTile{cfg: cfg, loadWidth: loadWidth, drainWidth: drainWidth, jobs: jobs, s: NewTileScratch(), tc: tc}
 	t.nextJob(res)
 	return t
 }
@@ -176,9 +202,6 @@ func (t *coreTile) chunkDone(res *CoreSimResult) {
 		t.advanceChunk(res)
 		return
 	}
-	if t.occ != nil {
-		t.occ.Observe(int64(len(s.touched)))
-	}
 	if len(s.touched) == 0 {
 		t.advanceChunk(res)
 		return
@@ -192,12 +215,12 @@ func (t *coreTile) chunkDone(res *CoreSimResult) {
 
 // lockstepTiles runs per-tile job lists through the global cycle loop: each
 // cycle steps tiles 0..M-1 in order with the output port free at the start.
-func lockstepTiles(jobs [][]tileJob, cfg CoreSimConfig, occ *telemetry.Histogram) CoreSimResult {
+func lockstepTiles(jobs [][]tileJob, cfg CoreSimConfig) CoreSimResult {
 	res := CoreSimResult{TileBusy: make([]int64, len(jobs))}
 	cts := make([]*coreTile, len(jobs))
 	for g := range jobs {
 		tc := &traceCtx{tracer: cfg.Trace, cycle: &res.Cycles, tile: g}
-		cts[g] = newCoreTile(cfg.Tile, cfg.LoadWidth, cfg.DrainWidth, jobs[g], tc, occ, &res)
+		cts[g] = newCoreTile(cfg.Tile, cfg.LoadWidth, cfg.DrainWidth, jobs[g], tc, &res)
 	}
 	for {
 		allIdle := true
@@ -221,13 +244,13 @@ func lockstepTiles(jobs [][]tileJob, cfg CoreSimConfig, occ *telemetry.Histogram
 	return res
 }
 
-// simulateCoreLockstep is SimulateCore on the lockstep oracle: the same
-// offline step and output assembly around lockstepTiles.
+// simulateCoreLockstep is SimulateCore on the lockstep oracle: the stream
+// build, balancing and output assembly around lockstepTiles.
 func simulateCoreLockstep(f *tensor.FeatureMap, w *tensor.KernelStack, stride, pad int, cfg CoreSimConfig) CoreSimResult {
 	cfg = cfg.withDefaults()
-	l := newCoreLayer(f, w, cfg)
-	res := lockstepTiles(l.jobs, cfg, l.occ)
-	res.Output = l.streams.output(l.fulls, f, w, stride, pad)
+	ls, jobs, fulls := lockstepLayer(f, w, cfg)
+	res := lockstepTiles(jobs, cfg)
+	res.Output = assemble(ls.tiles, fulls, f, w, stride, pad)
 	return res
 }
 
@@ -333,5 +356,59 @@ func TestCoreScheduleMatchesLockstep(t *testing.T) {
 	t.Logf("%d of %d cases waited on the output port", waited, cases)
 	if waited < cases/2 {
 		t.Fatalf("only %d of %d cases waited on the output port: the check barely exercises contention", waited, cases)
+	}
+}
+
+// TestTailCarryMatchesLockstep covers what layers drawn from kernel stacks
+// never produce: a channel whose last slices drain nothing, so that it
+// ends on a tail of free cycles which the next channel on the same compute
+// tile carries into its first drain. Weights beyond a 1×1 window push
+// every product out of the accumulator, so a slice of them drains nothing.
+// The channels, one job each, run through the per-channel pass and Run,
+// and through the lockstep oracle on the same job lists: every result
+// field and trace event must match, on one compute tile and on two.
+func TestTailCarryMatchesLockstep(t *testing.T) {
+	acts := []core.ActAtom{{Mag: 1, Last: true, X: 0, Y: 0}, {Mag: 3, Last: true, X: 1, Y: 0}}
+	in := func(k uint16) core.WeightAtom { return core.WeightAtom{Mag: 1, K: k} }
+	out := func(shift uint8) core.WeightAtom { return core.WeightAtom{Mag: 1, Shift: shift, X: 7, Y: 7} }
+	channels := [][]core.WeightAtom{
+		{out(0), out(0), out(2)},        // no drain: all tail
+		{in(0), in(1), in(0)},           // drains
+		{in(1), out(2), out(2), out(2)}, // a drain, then a tail
+		{out(2)},                        // no drain
+		{in(0), in(0), out(2), in(1)},   // drains, split over two chunks
+	}
+	tile := tensor.Tile{W: 2, H: 1}
+	cfg := CoreSimConfig{Tile: TileConfig{Mults: 2, Gran: 2, FIFODepth: 1}, LoadWidth: 1, DrainWidth: 1}.withDefaults()
+	for _, tiles := range []int{1, 2} {
+		var got, want MemoryTracer
+		cfg.Tiles, cfg.Trace = tiles, &got
+		p := newCorePass(cfg, len(channels), []tensor.Tile{tile}, []*tensor.OutputMap{tensor.NewOutputMap(2, 1, 2)})
+		s := NewTileScratch()
+		for c, weights := range channels {
+			var tl timeline
+			var sum CoreSimResult
+			p.job(s, &tl, &sum, 0, acts, weights)
+			p.finish(c, tl, &sum, len(acts), len(weights))
+		}
+		res := p.l.Run(tiles, balance.None)
+
+		cfg.Trace = &want
+		var jobs [][]tileJob
+		for _, chans := range balance.Assign(balance.None, p.l.costs, p.l.watoms, tiles) {
+			var js []tileJob
+			for _, c := range chans {
+				js = append(js, tileJob{acts: acts, weights: channels[c], tile: tile, full: tensor.NewOutputMap(2, 1, 2)})
+			}
+			jobs = append(jobs, js)
+		}
+		ref := lockstepTiles(jobs, cfg)
+		res.Output = nil
+		if !reflect.DeepEqual(res, ref) {
+			t.Fatalf("%d tiles:\nresult %+v\noracle %+v", tiles, res, ref)
+		}
+		if !slices.Equal(got.Events, want.Events) {
+			t.Fatalf("%d tiles: trace\n%+v\noracle\n%+v", tiles, got.Events, want.Events)
+		}
 	}
 }

@@ -235,9 +235,9 @@ func FuzzChainKernel(f *testing.F) {
 // which build the daemon's operands, call it.
 func CompareChunkPaths(f *tensor.FeatureMap, w *tensor.KernelStack, cfg CoreSimConfig) (closed, stepped int, err error) {
 	cfg = cfg.withDefaults()
-	l := newCoreLayer(f, w, cfg)
+	_, tiles, _ := lockstepLayer(f, w, cfg)
 	got, want := NewTileScratch(), NewTileScratch()
-	for g, jobs := range l.jobs {
+	for g, jobs := range tiles {
 		for ji, j := range jobs {
 			if len(j.acts) == 0 || len(j.weights) == 0 {
 				continue

@@ -2,7 +2,6 @@ package ristretto
 
 import (
 	"math/rand"
-	"sync"
 	"testing"
 
 	"ristretto/internal/balance"
@@ -120,12 +119,16 @@ func TestTileCoreParityDegenerate(t *testing.T) {
 }
 
 // runSingleJob drives one handcrafted intersection through SimulateCore's
-// per-tile path on a single compute tile and returns the placed result.
+// per-channel pass as a one-channel layer and returns the result of its
+// per-shape step on a single compute tile.
 func runSingleJob(job tileJob, cfg TileConfig, loadWidth, drainWidth int) CoreSimResult {
-	job.mu = new(sync.Mutex)
 	ccfg := CoreSimConfig{Tiles: 1, Tile: cfg, LoadWidth: loadWidth, DrainWidth: drainWidth}.withDefaults()
-	tl := runTile([]tileJob{job}, ccfg, NewTileScratch(), nil)
-	return placeDrains([]tileTimeline{tl}, nil)
+	p := newCorePass(ccfg, 1, []tensor.Tile{job.tile}, []*tensor.OutputMap{job.full})
+	var tl timeline
+	var sum CoreSimResult
+	p.job(NewTileScratch(), &tl, &sum, 0, job.acts, job.weights)
+	p.finish(0, tl, &sum, len(job.acts), len(job.weights))
+	return p.l.Run(1, balance.None)
 }
 
 // TestDrainPhaseStallsCounted pins the unified stall definition: FIFO

@@ -103,8 +103,9 @@ type lastAtom struct {
 //
 // Invariant between runs: bank is all-zero and present/touched empty (every
 // run drains fully), so re-use needs no explicit clearing. A scratch also
-// carries the temporaries of the weight-stream build, so the fan-out's
-// stream-build workers allocate only the streams they return.
+// carries the temporaries of the weight-stream build and the per-channel
+// pass's stream and drain buffers, so the fan-out's workers allocate only
+// what they return.
 type TileScratch struct {
 	chunks   [][]core.WeightAtom // slice-aligned static-stream chunks
 	lasts    []lastAtom          // the job's Last atoms in stream order
@@ -119,7 +120,14 @@ type TileScratch struct {
 	written  []uint64   // per-cycle crossbar bank bitmask, indexed by output channel
 	writtenK []uint16   // channels written this cycle, for sparse clearing
 
-	streamer core.WeightStreamer // the stream build's temporaries (buildStreams)
+	streamer core.WeightStreamer // the stream build's temporaries (PrepareCore, buildStreams)
+
+	// PrepareCore's buffers for the current input channel: its weight
+	// stream, its activation stream on the current spatial tile, and its
+	// drains.
+	weights []core.WeightAtom
+	acts    []core.ActAtom
+	drains  []drainReq
 
 	// Geometry of the current job.
 	t, depth     int // activation atoms in the stream; FIFO depth

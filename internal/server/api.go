@@ -165,6 +165,16 @@ func (r *SimRequest) memoKey() string {
 	return "sim|" + string(b)
 }
 
+// layerKey canonicalizes a validated sim request into its layer-store
+// identity: memoKey with tiles and balance zeroed as well, the two fields
+// the per-channel pass does not read.
+func (r *SimRequest) layerKey() string {
+	c := *r
+	c.Tiles, c.Balance, c.DeadlineMS = 0, "", 0
+	b, _ := json.Marshal(c)
+	return "sim-layer|" + string(b)
+}
+
 // precisionBits maps the uniform precision names to bit-widths.
 func precisionBits(p string) (int, bool) {
 	bits, ok := map[string]int{"8b": 8, "4b": 4, "2b": 2}[p]

@@ -71,23 +71,20 @@ func simOperands(req *SimRequest) *workload.Gen {
 	return workload.NewGen(workload.DeriveSeed(req.Seed, "serve-sim", req.Net, req.Layer, req.Precision))
 }
 
+// layerBudget bounds the /v1/sim layer store (Server.layers), in bytes of
+// stored layers (CoreLayer.Bytes), as StatsBudget bounds the stats store.
+// A sim-serve layer at scale 16 holds 50-110 KB.
+const layerBudget = 64 << 20
+
 // runSimCore answers a sim request with the cycle-accurate whole-core
 // simulator — the expensive, faithful rung of the degradation ladder.
-func (s *Server) runSimCore(_ context.Context, req *SimRequest) (*SimResponse, error) {
-	bits, _ := precisionBits(req.Precision)
-	n, _ := model.ByName(req.Net)
-	l := scaledLayer(req.Seed, req.Scale, n, req.Layer)
-	g := simOperands(req)
-	f, k := g.LayerOperands(l, bits, bits, workload.EvalTargets(req.Net, bits, bits))
-	policy, _ := balance.ParsePolicy(req.Balance) // validated with the request
-	cfg := ristretto.CoreSimConfig{
-		Tiles:  req.Tiles,
-		Tile:   ristretto.TileConfig{Mults: req.Mults, Gran: atom.Granularity(req.Gran)},
-		TileW:  req.TileW,
-		TileH:  req.TileH,
-		Policy: policy,
+func (s *Server) runSimCore(ctx context.Context, req *SimRequest) (*SimResponse, error) {
+	l, err := s.simLayer(ctx, req)
+	if err != nil {
+		return nil, err
 	}
-	res := ristretto.SimulateCore(f, k, l.Stride, l.Pad, cfg)
+	policy, _ := balance.ParsePolicy(req.Balance) // validated with the request
+	res := l.Run(req.Tiles, policy)
 	var busy int64
 	for _, b := range res.TileBusy {
 		busy += b
@@ -109,6 +106,34 @@ func (s *Server) runSimCore(_ context.Context, req *SimRequest) (*SimResponse, e
 		Energy:      energySplit(energy.ModelForGranularity(req.Gran), res.Counters),
 		Engine:      "core-sim",
 	}, nil
+}
+
+// simLayer returns the request's layer after the per-channel pass: from
+// the layer store, filling it on a miss, or computed afresh when the store
+// is disabled.
+func (s *Server) simLayer(ctx context.Context, req *SimRequest) (*ristretto.CoreLayer, error) {
+	if s.layers == nil {
+		return prepareSimLayer(req), nil
+	}
+	l, _, err := s.layers.Do(ctx, req.layerKey(), func() (*ristretto.CoreLayer, error) {
+		return prepareSimLayer(req), nil
+	})
+	return l, err
+}
+
+// prepareSimLayer synthesizes the layer a sim request names and runs the
+// core simulator's per-channel pass over it, which reads every request
+// field but tiles and balance.
+func prepareSimLayer(req *SimRequest) *ristretto.CoreLayer {
+	bits, _ := precisionBits(req.Precision)
+	n, _ := model.ByName(req.Net)
+	l := scaledLayer(req.Seed, req.Scale, n, req.Layer)
+	f, k := simOperands(req).LayerOperands(l, bits, bits, workload.EvalTargets(req.Net, bits, bits))
+	return ristretto.PrepareCore(f, k, l.Stride, l.Pad, ristretto.CoreSimConfig{
+		Tile:  ristretto.TileConfig{Mults: req.Mults, Gran: atom.Granularity(req.Gran)},
+		TileW: req.TileW,
+		TileH: req.TileH,
+	})
 }
 
 // runSimAnalytic is the degraded rung: the analytic latency model over the

@@ -17,7 +17,9 @@
 //     touching the admission queue, and concurrent identical misses
 //     compute once (see cache.go); /v1/model misses and /v1/cell read
 //     layer statistics from one shared store, so the daemon synthesizes
-//     each workload once;
+//     each workload once; /v1/sim misses read the simulator's per-channel
+//     pass from a layer store, so requests that differ only in tiles or
+//     balance simulate each input channel once;
 //   - admission control over a bounded queue — at most MaxConcurrent
 //     requests compute, at most MaxQueue wait, everything beyond is shed
 //     synchronously with 429 + Retry-After so memory stays bounded at
@@ -56,6 +58,7 @@ import (
 	"ristretto/internal/experiments"
 	"ristretto/internal/faultinject"
 	"ristretto/internal/memo"
+	"ristretto/internal/ristretto"
 	"ristretto/internal/runner"
 	"ristretto/internal/telemetry"
 )
@@ -91,7 +94,8 @@ type Config struct {
 	// MaxConformanceCases caps one conformance request's sweep; 0 = 200.
 	MaxConformanceCases int
 	// CacheEntries bounds the /v1/model + /v1/sim + /v1/quant memo cache
-	// (LRU); 0 = 4096. Negative disables memoization.
+	// (LRU); 0 = 4096. Negative disables memoization and the /v1/sim layer
+	// store.
 	CacheEntries int
 	// BatchQueueShare caps the admission-queue places the batch priority
 	// class may occupy, so batch sheds before interactive under mixed
@@ -200,9 +204,10 @@ type Server struct {
 	reg      *telemetry.Registry
 	adm      *admission
 	brk      *breaker
-	memo     *memo.Cache[memoizable] // response memo (server.cache.*); nil when memoization is disabled
-	stats    *experiments.StatsStore // layer statistics shared by /v1/model and /v1/cell
-	cells    *cellcache.Cache        // nil when the cell cache is disabled
+	memo     *memo.Cache[memoizable]           // response memo (server.cache.*); nil when memoization is disabled
+	stats    *experiments.StatsStore           // layer statistics shared by /v1/model and /v1/cell
+	layers   *memo.Cache[*ristretto.CoreLayer] // /v1/sim layers after the simulator's per-channel pass, keyed by SimRequest.layerKey (server.layers.*); nil when memoization is disabled
+	cells    *cellcache.Cache                  // nil when the cell cache is disabled
 	quota    *quotaTable
 	class    map[priorityClass]*classMetrics
 	fault    func(cell, attempt int) error
@@ -266,6 +271,7 @@ func New(cfg Config) *Server {
 	}
 	if cfg.CacheEntries > 0 {
 		s.memo = memo.New[memoizable](int64(cfg.CacheEntries), nil, r, "server.cache", "entries")
+		s.layers = memo.New(layerBudget, (*ristretto.CoreLayer).Bytes, r, "server.layers", "bytes")
 	}
 	if cfg.TenantRate > 0 {
 		s.quota = newQuotaTable(cfg.TenantRate, cfg.TenantBurst, cfg.MaxTenants)
