@@ -83,6 +83,13 @@ func main() {
 		if f.C != w.C {
 			fatal(fmt.Errorf("channel mismatch: acts %d vs weights %d", f.C, w.C))
 		}
+		// The simulator runs the whole plane as one spatial tile, and its
+		// atoms carry 8-bit tile and kernel coordinates and a 16-bit output
+		// channel.
+		if max(f.H, f.W, w.KH, w.KW) > 256 || w.K > 1<<16 {
+			fatal(fmt.Errorf("%dx%d plane, %d output channels of %dx%d kernels: the simulator takes planes and kernels of at most 256x256 and at most 65536 output channels",
+				f.H, f.W, w.K, w.KH, w.KW))
+		}
 	default:
 		flag.Usage()
 		os.Exit(2)

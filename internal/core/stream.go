@@ -231,17 +231,11 @@ type WeightStreamer struct {
 // WeightStreamer.atoms.
 type chanRun struct{ start, n int32 }
 
-// Stream returns input channel c's compressed static stream over every
-// output channel, byte-identical to CompressWeights(FlattenKernels(w, c,
-// nil), w.Bits, n, false), or to the FlattenKernelsDense pair when dense is
-// set. It reads the kernel's (k, c) blocks directly. The returned slice is
-// freshly allocated.
-func (b *WeightStreamer) Stream(w *tensor.KernelStack, c int, n atom.Granularity, dense bool) []WeightAtom {
-	return b.AppendStream(nil, w, c, n, dense)
-}
-
-// AppendStream appends input channel c's static stream (see Stream) to
-// dst and returns the extended slice.
+// AppendStream appends input channel c's compressed static stream over
+// every output channel to dst and returns the extended slice. The stream is
+// byte-identical to CompressWeights(FlattenKernels(w, c, nil), w.Bits, n,
+// false), or to the FlattenKernelsDense pair when dense is set; it is built
+// from the kernel's (k, c) blocks directly.
 func (b *WeightStreamer) AppendStream(dst []WeightAtom, w *tensor.KernelStack, c int, n atom.Granularity, dense bool) []WeightAtom {
 	area := w.KH * w.KW
 	b.start(w.Bits, n, dense, w.K*area, w.K)

@@ -84,7 +84,7 @@ func TestCompressWeightsMatchesOracle(t *testing.T) {
 					t.Fatalf("iter %d c=%d dense=%v: stream order diverged from oracle\n got %v\nwant %v",
 						i, c, dense, got, want)
 				}
-				if reused := ws.Stream(w, c, gran, dense); !reflect.DeepEqual(reused, got) {
+				if reused := ws.AppendStream(nil, w, c, gran, dense); !reflect.DeepEqual(reused, got) {
 					t.Fatalf("iter %d c=%d dense=%v: reused WeightStreamer diverged from CompressWeights\n got %v\nwant %v",
 						i, c, dense, reused, got)
 				}
@@ -124,8 +124,8 @@ func TestStreamTileActsAllZero(t *testing.T) {
 }
 
 // TestStreamMatchesCompressWeights checks the one-pass kernel walk of
-// WeightStreamer.Stream against CompressWeights over the flattened kernel
-// and against the map-based oracle, on random kernels: 2–12-bit weights
+// WeightStreamer.AppendStream against CompressWeights over the flattened
+// kernel and against the map-based oracle, on random kernels: 2–12-bit weights
 // (from 10 bits on, magnitudes beyond the 8-bit digit table), atoms of 1–3
 // bits, dense and sparse streams, 1–130 output channels (so past 64) and
 // 1×1 to 5×5 windows. One streamer serves every case, so its temporaries
@@ -156,8 +156,8 @@ func TestStreamMatchesCompressWeights(t *testing.T) {
 			if oracle := oracleCompressWeights(flat, bits, gran, dense); !reflect.DeepEqual(want, oracle) && len(want)+len(oracle) > 0 {
 				t.Fatalf("case %d (bits %d, gran %d, K %d, %dx%d, dense %v): CompressWeights diverged from the oracle", i, bits, gran, k, ks, ks, dense)
 			}
-			if got := ws.Stream(w, c, gran, dense); !reflect.DeepEqual(got, want) {
-				t.Fatalf("case %d (bits %d, gran %d, K %d, %dx%d, dense %v): Stream diverged from CompressWeights\n got %v\nwant %v", i, bits, gran, k, ks, ks, dense, got, want)
+			if got := ws.AppendStream(nil, w, c, gran, dense); !reflect.DeepEqual(got, want) {
+				t.Fatalf("case %d (bits %d, gran %d, K %d, %dx%d, dense %v): AppendStream diverged from CompressWeights\n got %v\nwant %v", i, bits, gran, k, ks, ks, dense, got, want)
 			}
 		}
 	}

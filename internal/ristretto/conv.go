@@ -2,9 +2,9 @@ package ristretto
 
 import (
 	"ristretto/internal/balance"
-	"ristretto/internal/core"
 	"ristretto/internal/energy"
 	"ristretto/internal/refconv"
+	"ristretto/internal/telemetry"
 	"ristretto/internal/tensor"
 )
 
@@ -64,82 +64,25 @@ type SimResult struct {
 }
 
 // SimulateConv runs a whole (small) layer through the cycle-level tile
-// simulator: input channels are grouped onto compute tiles by the balancing
-// policy; each tile serially processes its channels' (spatial tile ×
-// channel) intersections; per-tile cycles sum and the layer latency is the
-// slowest tile. The numeric output is bit-exact against refconv.Conv.
+// model: the per-channel pass (prepare) runs every (input channel × spatial
+// tile) intersection, the input channels on at most GOMAXPROCS goroutines;
+// the balancing policy groups the input channels onto compute tiles; a
+// compute tile's cycles are the sum of its channels' intersection cycles,
+// and the layer latency is the slowest tile's. The numeric output is
+// bit-exact against refconv.Conv, and no result depends on GOMAXPROCS.
 func SimulateConv(f *tensor.FeatureMap, w *tensor.KernelStack, stride, pad int, cfg Config) SimResult {
 	cfg = cfg.withDefaults()
-	ls := buildStreams(f, w, cfg.TileW, cfg.TileH, cfg.Tile, cfg.Dense)
-	groups := balance.Assign(cfg.Policy, ls.costs, ls.watoms, cfg.Tiles)
-
-	res := SimResult{TileCycles: make([]int64, cfg.Tiles)}
-	fulls := accumulators(ls.tiles, w)
-	scratch := NewTileScratch() // one scratch reused across every intersection
-	for g, chans := range groups {
+	l := prepare(f, w, stride, pad, CoreSimConfig{Tile: cfg.Tile, TileW: cfg.TileW, TileH: cfg.TileH}, cfg.Dense)
+	res := SimResult{Output: l.output, TileCycles: make([]int64, cfg.Tiles), Stalls: l.sum.Stalls, Products: l.sum.Products,
+		Deliveries: l.sum.Deliveries, Conflicts: l.sum.Conflicts, Counters: l.sum.Counters}
+	for g, chans := range balance.Assign(cfg.Policy, l.costs, l.watoms, cfg.Tiles) {
 		for _, c := range chans {
-			for ti, tl := range ls.tiles {
-				r := SimulateIntersectionScratch(ls.acts[c*len(ls.tiles)+ti], ls.weights[c], w.KH, w.KW, tl.W, tl.H, fulls[ti], cfg.Tile, scratch)
-				res.TileCycles[g] += r.Cycles
-				res.Stalls += r.StallCycles
-				res.Products += r.Products
-				res.Deliveries += r.Deliveries
-				res.Conflicts += r.Conflicts
-				res.Counters.Add(r.Counters)
-			}
+			res.TileCycles[g] += l.chans[c].cycles
 		}
+		res.Cycles = max(res.Cycles, res.TileCycles[g])
 	}
-	for _, c := range res.TileCycles {
-		if c > res.Cycles {
-			res.Cycles = c
-		}
-	}
-	res.Output = assemble(ls.tiles, fulls, f, w, stride, pad)
+	telemetry.Default.AddStageCycles(l.sum.Stages)
 	return res
-}
-
-// layerStreams is SimulateConv's offline step: a layer's compressed operand
-// streams and the balancing statistics read off them.
-type layerStreams struct {
-	tiles   []tensor.Tile       // the spatial tiling of the input plane
-	weights [][]core.WeightAtom // [c]: input channel c's static stream over every output channel
-	acts    [][]core.ActAtom    // [c*len(tiles)+ti]: channel c's activation stream on spatial tile ti
-	watoms  []int               // [c]: len(weights[c])
-	tatoms  []int               // [c]: channel c's activation atoms over every spatial tile
-	costs   []int64             // [c]: the balancing cost of channel c
-}
-
-// buildStreams compresses every input channel's streams, the channels
-// fanned out over fanOut. dense keeps zero atoms and zero values
-// (Ristretto-ns); tw×th is the spatial tile, 0 meaning the whole plane.
-func buildStreams(f *tensor.FeatureMap, w *tensor.KernelStack, tw, th int, tile TileConfig, dense bool) *layerStreams {
-	tiles := tileGrid(f, tw, th)
-	ls := &layerStreams{
-		tiles:   tiles,
-		weights: make([][]core.WeightAtom, f.C),
-		acts:    make([][]core.ActAtom, f.C*len(tiles)),
-		watoms:  make([]int, f.C),
-		tatoms:  make([]int, f.C),
-		costs:   make([]int64, f.C),
-	}
-	fanOut(f.C, func(s *TileScratch, c int) {
-		ls.weights[c] = s.streamer.Stream(w, c, tile.Gran, dense)
-		ls.watoms[c] = len(ls.weights[c])
-		for ti, tl := range tiles {
-			var acts []core.ActAtom
-			if dense {
-				acts = core.CompressActs(core.FlattenTileDense(f, c, tl), f.Bits, tile.Gran, true)
-			} else {
-				// Fused zero-skipping builder: walks 64-lane bitmap words
-				// instead of materializing the dense element list.
-				acts = core.StreamTileActs(f, c, tl, tile.Gran)
-			}
-			ls.acts[c*len(tiles)+ti] = acts
-			ls.tatoms[c] += len(acts)
-		}
-		ls.costs[c] = balance.Cost(ls.tatoms[c], ls.watoms[c], tile.Mults)
-	})
-	return ls
 }
 
 // tileGrid is the tiling of f's plane into tw×th spatial tiles, 0

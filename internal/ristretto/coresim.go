@@ -14,47 +14,51 @@ import (
 	"ristretto/internal/tensor"
 )
 
-// This file is the whole-core simulator: all M compute tiles of Figure 7
-// run concurrently and contend for the shared output buffer when they drain
-// accumulate banks. Compared with SimulateConv (which sums
-// per-intersection cycle counts per tile), the core simulator additionally
-// models:
+// This file is the per-channel pass every cycle simulator runs, and the
+// whole-core timing on top of it. A compute tile of Figure 7 does the same
+// work on an (input channel, spatial tile) job whichever view times it, so
+// one pass builds each input channel's streams from the tensors, runs its
+// jobs through the chain kernel and drains their banks into the layer's
+// accumulators. The two views differ only in what they charge on top:
 //
-//   - the initial static-stream load of each round from the tile's local
-//     weight buffer (ping-pong hides subsequent loads, not the first);
-//   - the shared output buffer's write port: one tile drains per cycle,
-//     others queue (aggregation of "results of different compute tiles",
-//     Section IV-C4);
-//   - true concurrency, so the reported latency is the cycle the last tile
-//     retires — enabling cross-tile traces.
+//   - the tile view (SimulateConv, SimulateIntersectionScratch) sums each
+//     compute tile's job cycles with ping-pong overlap: every chunk of a
+//     job but the last costs the cycles until its last activation atom
+//     entered the chain, the last one its full cycles;
+//   - the whole-core view (SimulateCore) runs all M compute tiles
+//     concurrently and also charges the initial static-stream load of each
+//     job from the tile's local weight buffer (ping-pong hides later loads,
+//     not the first) and the shared output buffer's write port: one tile
+//     drains per cycle, others queue (aggregation of "results of different
+//     compute tiles", Section IV-C4). Its latency is the cycle the last
+//     tile retires, which enables cross-tile traces.
 //
 // w/a balancing (Eq. 5) assigns whole input channels to compute tiles, and
 // a compute tile runs its channels' jobs back to back, so what a channel's
 // jobs do in the chain kernel does not depend on which tile runs them or
-// on how many tiles there are. The simulation therefore runs in two steps.
-// PrepareCore, the per-channel pass, builds every input channel's streams
-// and runs its jobs through the chain kernel, the channels in parallel,
-// recording an untimed timeline per channel: the load and stream cycles
-// between its drains and the port cycles each drain needs. Run, the
-// per-shape step, balances the channels onto the compute tiles, joins each
-// tile's channel timelines in job order and places the drains on the
-// port. The tiles share only the port (and the spatial tiles'
-// accumulators, whose int32 adds commute). The port serves the
+// on how many tiles there are. A simulation therefore runs in two steps.
+// The per-channel pass (prepare) runs the channels in parallel and records
+// for each an untimed timeline: the load and stream cycles between its
+// drains, the port cycles each drain needs and the tile view's cycles.
+// The per-shape step balances the channels onto the compute tiles: the
+// tile view sums each tile's cycles (SimulateConv); the whole-core view
+// (Run) joins each tile's channel timelines in job order and places the
+// drains on the port. The tiles share only the port (and the spatial
+// tiles' accumulators, whose int32 adds commute). The port serves the
 // lowest-numbered draining tile each cycle, so tile g is blocked on
 // exactly the cycles tiles 0..g-1 hold it; timing the tiles in index order
 // against the union of the earlier tiles' port spans reproduces, cycle for
 // cycle, a global loop that steps every tile each cycle (FuzzCoreSchedule
 // checks it against that loop, kept as a test oracle).
 //
-// Work and traffic accounting follows one convention shared with the tile
-// simulator and the analytic model: stalls count every cycle the chain
-// cannot advance on FIFO back-pressure; the input buffer is charged 1 B per
-// activation atom as it is fed (so re-read every ping-pong round); the
-// weight buffer is charged len(chunk) bytes at every chunk start; a drain
-// charges a 4 B accumulate-buffer read plus a 4 B output-buffer write per
-// drained entry. On those counters — and on Products/Deliveries/Conflicts —
-// SimulateCore agrees exactly with the sum of SimulateIntersectionScratch
-// results over the same jobs (pinned by the parity suite in
+// Work and traffic accounting is therefore one convention, shared with the
+// analytic model: stalls count every cycle the chain cannot advance on
+// FIFO back-pressure; the input buffer is charged 1 B per activation atom
+// as it is fed (so re-read every ping-pong round); the weight buffer is
+// charged len(chunk) bytes at every chunk start; a drain charges a 4 B
+// accumulate-buffer read plus a 4 B output-buffer write per drained entry.
+// On those counters, and on Products/Deliveries/Conflicts, SimulateCore
+// and SimulateConv agree exactly (pinned by the parity suite in
 // simparity_test.go).
 
 // CoreSimConfig extends the tile configuration with core-level parameters.
@@ -101,19 +105,18 @@ type CoreSimResult struct {
 	Counters   energy.Counters
 }
 
-// CoreLayer is one layer after the whole-core simulator's per-channel
-// pass (PrepareCore): every input channel's jobs run through the chain
-// kernel, and what Run needs to time them on any number of compute tiles
-// under any balancing policy. It holds each channel's untimed timeline,
-// balancing cost and weight-atom count, the layer's load and stream
-// accounting summed over the channels, and the output map. Run only reads
-// it, so concurrent Runs may share one.
+// CoreLayer is one layer after the per-channel pass (PrepareCore): every
+// input channel's jobs run through the chain kernel, and what Run needs to
+// time them on any number of compute tiles under any balancing policy. It
+// holds each channel's untimed timeline, balancing cost and weight-atom
+// count, the layer's load and stream accounting summed over the channels,
+// and the output map. Run only reads it, so concurrent Runs may share one.
 type CoreLayer struct {
 	chans  []timeline        // [c]: input channel c's untimed timeline
 	costs  []int64           // [c]: channel c's balancing cost (Eq. 5)
 	watoms []int             // [c]: channel c's weight atoms
 	jobs   int               // jobs per channel: one per spatial tile
-	sum    CoreSimResult     // LoadCycles, Stalls, the work counts, the stage cycles outside drains and the counters
+	sum    CoreSimResult     // LoadCycles, Stalls, the work counts, the streams' stage cycles and the counters
 	output *tensor.OutputMap // the strided, padded convolution output
 	trace  Tracer            // where Run sends the trace events, when the pass recorded them
 }
@@ -139,6 +142,7 @@ type tileEvent struct {
 type timeline struct {
 	drains []drainReq
 	tail   int64       // free cycles after the last drain (or since the start), through the channel's last stream cycle
+	cycles int64       // the tile view's cycles over the channel's jobs
 	events []tileEvent // nil unless tracing
 }
 
@@ -147,70 +151,66 @@ func (tl *timeline) emit(event string, job, chunk int, detail string) {
 	tl.events = append(tl.events, tileEvent{TraceEvent{Cycle: tl.tail, Event: event, Job: job, Chunk: chunk, Detail: detail}, len(tl.drains)})
 }
 
-// corePass is the shared state of PrepareCore's per-channel pass.
+// corePass is the per-channel pass's configuration and the layer it
+// gathers the channels into.
 type corePass struct {
-	cfg   CoreSimConfig
-	l     *CoreLayer
-	tiles []tensor.Tile        // the spatial tiling of the input plane
-	fulls []*tensor.OutputMap  // [ti]: spatial tile ti's accumulator, shared by every channel's job on it
-	mus   []sync.Mutex         // [ti]: guards fulls[ti] against the other channels' drains
-	occ   *telemetry.Histogram // accumulate-bank occupancy at drain (nil = telemetry off)
+	cfg CoreSimConfig
+	l   *CoreLayer
 
 	mu                    sync.Mutex // guards l.sum and the atom totals
 	actAtoms, weightAtoms int64      // the layer's stream atoms
 }
 
-func newCorePass(cfg CoreSimConfig, channels int, tiles []tensor.Tile, fulls []*tensor.OutputMap) *corePass {
-	p := &corePass{
+func newCorePass(cfg CoreSimConfig, channels, jobs int) *corePass {
+	return &corePass{
 		cfg: cfg,
 		l: &CoreLayer{chans: make([]timeline, channels), costs: make([]int64, channels),
-			watoms: make([]int, channels), jobs: len(tiles), trace: cfg.Trace},
-		tiles: tiles,
-		fulls: fulls,
-		mus:   make([]sync.Mutex, len(tiles)),
+			watoms: make([]int, channels), jobs: jobs, trace: cfg.Trace},
 	}
-	if telemetry.Default.Enabled() {
-		p.occ = telemetry.Default.Histogram("ristretto.accbuf.occupancy_entries")
-	}
-	return p
 }
 
-// job runs one job — the channel's intersection with spatial tile ti —
-// through the chain kernel chunk by chunk on scratch s, drains each
-// slice's banks into the spatial tile's accumulator and appends the job to
-// the channel's timeline tl and accounting sum.
-func (p *corePass) job(s *TileScratch, tl *timeline, sum *CoreSimResult, ti int, acts []core.ActAtom, weights []core.WeightAtom) {
+// job runs one job, acts against weights on spatial tile ti, through the
+// chain kernel chunk by chunk on scratch s. It drains each slice's banks
+// into the spatial tile's accumulator full, holding mu unless it is nil
+// (no other goroutine drains into full), and appends the job to its
+// channel's timeline tl and accounting sum. The stage cycles in sum leave
+// out the job's first static-stream load, which only the whole-core view
+// charges (Run). occ, when not nil, observes each slice's accumulate-bank
+// occupancy; trace events are recorded when cfg.Trace is set.
+func (s *TileScratch) job(tl *timeline, sum *CoreSimResult, cfg *CoreSimConfig, occ *telemetry.Histogram, ti int, tile tensor.Tile, full *tensor.OutputMap, mu *sync.Mutex, acts []core.ActAtom, weights []core.WeightAtom) {
 	if len(acts) == 0 || len(weights) == 0 {
 		return
 	}
-	cfg, trace := &p.cfg, p.cfg.Trace != nil
+	trace := cfg.Trace != nil
 	if trace {
 		tl.emit("job_start", ti, 0, fmt.Sprintf("acts=%d watoms=%d", len(acts), len(weights)))
 	}
-	tile, full := p.tiles[ti], p.fulls[ti]
 	chunks := s.startJob(acts, weights, tile.W, tile.H, full, cfg.Tile)
 	for ci, chunk := range chunks {
 		if trace {
 			tl.emit("chunk_start", ti, ci, fmt.Sprintf("m=%d shift=%d", len(chunk), chunk[0].Shift))
 		}
-		// Static-stream traffic: 1 B per atom every round, the same
-		// convention as the tile simulator — the ping-pong registers hide
-		// load *latency* beyond the first chunk, not the buffer reads.
+		// Static-stream traffic: 1 B per atom every round — the ping-pong
+		// registers hide load *latency* beyond the first chunk, not the
+		// buffer reads.
 		sum.Counters.WeightBufBytes += int64(len(chunk))
 		if ci == 0 {
 			// The first chunk of a job loads its static stream explicitly,
-			// and the stream pipeline waits on the fill: all three stages
-			// idle.
+			// and the stream pipeline waits on the fill.
 			load := int64((len(chunk) + cfg.LoadWidth - 1) / cfg.LoadWidth)
 			sum.LoadCycles += load
-			sum.Stages.Idle[telemetry.StageAtomizer] += load
-			sum.Stages.Idle[telemetry.StageAtomputer] += load
-			sum.Stages.Idle[telemetry.StageAtomulator] += load
 			tl.tail += load
 		}
 		s.runChunk(chunk)
-		s.fold(&sum.Stalls, &sum.Products, &sum.Deliveries, &sum.Conflicts, &sum.Stages, &sum.Counters)
+		s.fold(sum)
 		tl.tail += s.tally.Cycles
+		// Ping-pong overlap in the tile view: every chunk but the job's
+		// last hides its drain under the next chunk's fill.
+		if ci+1 < len(chunks) {
+			tl.cycles += s.entered
+		} else {
+			tl.cycles += s.tally.Cycles
+		}
 
 		// The banks drain through the output port at the end of a slice.
 		shift := chunk[0].Shift
@@ -218,8 +218,8 @@ func (p *corePass) job(s *TileScratch, tl *timeline, sum *CoreSimResult, ti int,
 			continue
 		}
 		entries := len(s.touched)
-		if p.occ != nil {
-			p.occ.Observe(int64(entries))
+		if occ != nil {
+			occ.Observe(int64(entries))
 		}
 		if entries == 0 {
 			// Nothing accumulated (fully ineffectual slice): no output-port
@@ -232,9 +232,13 @@ func (p *corePass) job(s *TileScratch, tl *timeline, sum *CoreSimResult, ti int,
 		// Other channels drain into the same accumulator from other
 		// goroutines; int32 adds commute, so their order cannot change
 		// the output.
-		p.mus[ti].Lock()
-		s.drainBanks(full.Data, shift, &sum.Counters)
-		p.mus[ti].Unlock()
+		if mu != nil {
+			mu.Lock()
+			s.drainBanks(full.Data, shift, &sum.Counters)
+			mu.Unlock()
+		} else {
+			s.drainBanks(full.Data, shift, &sum.Counters)
+		}
 		tl.drains = append(tl.drains, drainReq{free: tl.tail, port: int64((entries + cfg.DrainWidth - 1) / cfg.DrainWidth)})
 		tl.tail = 0
 		if trace {
@@ -257,34 +261,75 @@ func (p *corePass) finish(c int, tl timeline, sum *CoreSimResult, actAtoms, weig
 	p.mu.Unlock()
 }
 
-// PrepareCore is the whole-core simulator's per-channel pass. It reads
-// every field of cfg except Tiles and Policy. Fanned out over the input
-// channels, it builds each channel's weight stream and its activation
-// streams on the spatial tiles, runs the channel's jobs through the chain
-// kernel and records their untimed timeline, with the trace events when
-// cfg.Trace is set; the channel's drains accumulate the layer's output.
-// Run then times the layer on any core shape.
+// occupancy returns the accumulate-bank occupancy histogram, or nil when
+// telemetry is off.
+func occupancy() *telemetry.Histogram {
+	if !telemetry.Default.Enabled() {
+		return nil
+	}
+	return telemetry.Default.Histogram("ristretto.accbuf.occupancy_entries")
+}
+
+// The atoms' fields bound the layers the pass takes: activation atoms
+// carry 8-bit tile coordinates, weight atoms 8-bit kernel coordinates and
+// a 16-bit output channel. Past them a coordinate would wrap and the
+// output would be wrong.
+const (
+	maxAtomCoord = 1 << 8
+	maxAtomChans = 1 << 16
+)
+
+// PrepareCore is the whole-core simulator's per-channel pass (see
+// prepare). It reads every field of cfg except Tiles and Policy; Run then
+// times the layer on any core shape.
 func PrepareCore(f *tensor.FeatureMap, w *tensor.KernelStack, stride, pad int, cfg CoreSimConfig) *CoreLayer {
+	return prepare(f, w, stride, pad, cfg, false)
+}
+
+// prepare is the per-channel pass, the one place that builds streams from
+// tensors. Fanned out over the input channels, it builds each channel's
+// weight stream and its activation streams on the spatial tiles, keeping
+// zero values and zero atoms when dense is set (Ristretto-ns), runs the
+// channel's jobs through the chain kernel and records their untimed
+// timeline, with the trace events when cfg.Trace is set; the channel's
+// drains accumulate the layer's output. It panics when a spatial tile, the
+// kernel window or the output channels exceed what the atoms' fields hold.
+func prepare(f *tensor.FeatureMap, w *tensor.KernelStack, stride, pad int, cfg CoreSimConfig, dense bool) *CoreLayer {
 	cfg = cfg.withDefaults()
 	tiles := tileGrid(f, cfg.TileW, cfg.TileH)
+	// The first spatial tile is the largest.
+	if len(tiles) > 0 && max(tiles[0].W, tiles[0].H) > maxAtomCoord {
+		panic(fmt.Sprintf("ristretto: %dx%d spatial tiles exceed the atoms' %dx%d coordinates: set TileW and TileH to at most %d",
+			tiles[0].W, tiles[0].H, maxAtomCoord, maxAtomCoord, maxAtomCoord))
+	}
+	if max(w.KW, w.KH) > maxAtomCoord || w.K > maxAtomChans {
+		panic(fmt.Sprintf("ristretto: %d output channels of %dx%d kernels exceed the weight atoms' %d channels of at most %dx%d",
+			w.K, w.KW, w.KH, maxAtomChans, maxAtomCoord, maxAtomCoord))
+	}
 	fulls := accumulators(tiles, w)
-	p := newCorePass(cfg, f.C, tiles, fulls)
+	mus := make([]sync.Mutex, len(tiles)) // [ti]: guards fulls[ti] against the other channels' drains
+	occ := occupancy()
+	p := newCorePass(cfg, f.C, len(tiles))
 	fanOut(f.C, func(s *TileScratch, c int) {
 		// The streams and drains are built in the scratch's buffers; only
 		// the drains outlive the channel, copied to their exact size.
-		s.weights = s.streamer.AppendStream(s.weights[:0], w, c, cfg.Tile.Gran, false)
+		s.weights = s.streamer.AppendStream(s.weights[:0], w, c, cfg.Tile.Gran, dense)
 		tl := timeline{drains: s.drains[:0]}
 		var sum CoreSimResult
 		actAtoms := 0
 		for ti, tile := range tiles {
-			s.acts = core.AppendTileActs(s.acts[:0], f, c, tile, cfg.Tile.Gran)
+			if dense {
+				s.acts = core.CompressActs(core.FlattenTileDense(f, c, tile), f.Bits, cfg.Tile.Gran, true)
+			} else {
+				s.acts = core.AppendTileActs(s.acts[:0], f, c, tile, cfg.Tile.Gran)
+			}
 			actAtoms += len(s.acts)
-			p.job(s, &tl, &sum, ti, s.acts, s.weights)
+			s.job(&tl, &sum, &p.cfg, occ, ti, tile, fulls[ti], &mus[ti], s.acts, s.weights)
 		}
 		s.drains, tl.drains = tl.drains, slices.Clone(tl.drains)
 		p.finish(c, tl, &sum, actAtoms, len(s.weights))
 	})
-	if p.occ != nil {
+	if occ != nil {
 		telemetry.Default.Counter("ristretto.stream.act_atoms").Add(p.actAtoms)
 		telemetry.Default.Counter("ristretto.stream.weight_atoms").Add(p.weightAtoms)
 	}
@@ -302,6 +347,11 @@ func (l *CoreLayer) Run(tiles int, policy balance.Policy) CoreSimResult {
 	groups := balance.Assign(policy, l.costs, l.watoms, tiles)
 	res := l.placeDrains(groups)
 	res.add(&l.sum)
+	// The stream pipeline waits on each job's first static-stream load:
+	// all three stages idle.
+	for st := range res.Stages.Idle {
+		res.Stages.Idle[st] += l.sum.LoadCycles
+	}
 	res.Output = l.output
 	telemetry.Default.AddStageCycles(res.Stages)
 	return res

@@ -29,22 +29,36 @@ type tileJob struct {
 	full    *tensor.OutputMap // the spatial tile's full-convolution accumulator, shared by its jobs
 }
 
-// lockstepLayer is the oracle's offline step: the layer's streams balanced
-// onto the compute tiles as per-tile job lists, channel-major, and each
-// spatial tile's accumulator.
-func lockstepLayer(f *tensor.FeatureMap, w *tensor.KernelStack, cfg CoreSimConfig) (ls *layerStreams, jobs [][]tileJob, fulls []*tensor.OutputMap) {
-	ls = buildStreams(f, w, cfg.TileW, cfg.TileH, cfg.Tile, false)
-	fulls = accumulators(ls.tiles, w)
-	for _, chans := range balance.Assign(cfg.Policy, ls.costs, ls.watoms, cfg.Tiles) {
+// lockstepLayer is the oracle's offline step: the layer's spatial tiles,
+// its streams balanced onto the compute tiles as per-tile job lists,
+// channel-major, and each spatial tile's accumulator.
+func lockstepLayer(f *tensor.FeatureMap, w *tensor.KernelStack, cfg CoreSimConfig) (tiles []tensor.Tile, jobs [][]tileJob, fulls []*tensor.OutputMap) {
+	tiles = tileGrid(f, cfg.TileW, cfg.TileH)
+	fulls = accumulators(tiles, w)
+	weights := make([][]core.WeightAtom, f.C)
+	acts := make([][]core.ActAtom, f.C*len(tiles)) // [c*len(tiles)+ti]
+	costs, watoms := make([]int64, f.C), make([]int, f.C)
+	var streamer core.WeightStreamer
+	for c := range f.C {
+		weights[c] = streamer.AppendStream(nil, w, c, cfg.Tile.Gran, false)
+		watoms[c] = len(weights[c])
+		actAtoms := 0
+		for ti, tl := range tiles {
+			acts[c*len(tiles)+ti] = core.StreamTileActs(f, c, tl, cfg.Tile.Gran)
+			actAtoms += len(acts[c*len(tiles)+ti])
+		}
+		costs[c] = balance.Cost(actAtoms, watoms[c], cfg.Tile.Mults)
+	}
+	for _, chans := range balance.Assign(cfg.Policy, costs, watoms, cfg.Tiles) {
 		var js []tileJob
 		for _, c := range chans {
-			for ti, tl := range ls.tiles {
-				js = append(js, tileJob{acts: ls.acts[c*len(ls.tiles)+ti], weights: ls.weights[c], tile: tl, full: fulls[ti]})
+			for ti, tl := range tiles {
+				js = append(js, tileJob{acts: acts[c*len(tiles)+ti], weights: weights[c], tile: tl, full: fulls[ti]})
 			}
 		}
 		jobs = append(jobs, js)
 	}
-	return ls, jobs, fulls
+	return tiles, jobs, fulls
 }
 
 // traceCtx stamps a lockstep tile's events with the global cycle.
@@ -173,7 +187,7 @@ func (t *coreTile) step(res *CoreSimResult, drainPortFree *bool) {
 		}
 	case tileStreaming:
 		if t.s.cycle() {
-			t.s.fold(&res.Stalls, &res.Products, &res.Deliveries, &res.Conflicts, &res.Stages, &res.Counters)
+			t.s.fold(res)
 			t.chunkDone(res)
 		}
 	}
@@ -248,9 +262,9 @@ func lockstepTiles(jobs [][]tileJob, cfg CoreSimConfig) CoreSimResult {
 // build, balancing and output assembly around lockstepTiles.
 func simulateCoreLockstep(f *tensor.FeatureMap, w *tensor.KernelStack, stride, pad int, cfg CoreSimConfig) CoreSimResult {
 	cfg = cfg.withDefaults()
-	ls, jobs, fulls := lockstepLayer(f, w, cfg)
+	tiles, jobs, fulls := lockstepLayer(f, w, cfg)
 	res := lockstepTiles(jobs, cfg)
-	res.Output = assemble(ls.tiles, fulls, f, w, stride, pad)
+	res.Output = assemble(tiles, fulls, f, w, stride, pad)
 	return res
 }
 
@@ -383,12 +397,12 @@ func TestTailCarryMatchesLockstep(t *testing.T) {
 	for _, tiles := range []int{1, 2} {
 		var got, want MemoryTracer
 		cfg.Tiles, cfg.Trace = tiles, &got
-		p := newCorePass(cfg, len(channels), []tensor.Tile{tile}, []*tensor.OutputMap{tensor.NewOutputMap(2, 1, 2)})
-		s := NewTileScratch()
+		p := newCorePass(cfg, len(channels), 1)
+		s, full := NewTileScratch(), tensor.NewOutputMap(2, 1, 2)
 		for c, weights := range channels {
 			var tl timeline
 			var sum CoreSimResult
-			p.job(s, &tl, &sum, 0, acts, weights)
+			s.job(&tl, &sum, &cfg, nil, 0, tile, full, nil, acts, weights)
 			p.finish(c, tl, &sum, len(acts), len(weights))
 		}
 		res := p.l.Run(tiles, balance.None)

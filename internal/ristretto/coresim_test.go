@@ -3,6 +3,7 @@ package ristretto
 import (
 	"math/rand"
 	"runtime"
+	"strings"
 	"testing"
 	"unsafe"
 
@@ -159,5 +160,55 @@ func TestSimulateCoreMemoryBound(t *testing.T) {
 			t.Errorf("%s: SimulateCore allocated %d B, budget %d B (operands %d, streams %d, %d spatial tiles × ≤%d B output volume)",
 				tc.name, got, budget, operands, streams, len(tiles), maxVolume)
 		}
+	}
+}
+
+// TestAtomFieldLimits covers layers past the atoms' fields. Activation
+// atoms carry 8-bit tile coordinates and weight atoms 8-bit kernel
+// coordinates and a 16-bit output channel, so a spatial tile wider or
+// taller than 256, a wider kernel or more than 65,536 output channels
+// would wrap a coordinate and give a wrong output. Both simulators must
+// refuse such a layer with a panic that names the limit, and a tiling
+// within it must give the reference output.
+func TestAtomFieldLimits(t *testing.T) {
+	g := workload.NewGen(96)
+	wide, tall := g.FeatureMap(2, 3, 300, 8, 0.5), g.FeatureMap(2, 300, 3, 8, 0.5)
+	w3 := g.Kernels(2, 2, 3, 3, 8, 0.5)
+	pixel, pair := tensor.NewFeatureMap(1, 1, 1, 8), tensor.NewFeatureMap(1, 1, 2, 8)
+	pixel.Data[0], pair.Data[0], pair.Data[1] = 3, 5, 7
+	tileCfg := TileConfig{Mults: 8, Gran: 2}
+	panics := func(name, want string, run func()) {
+		t.Helper()
+		defer func() {
+			if msg, _ := recover().(string); !strings.Contains(msg, want) {
+				t.Errorf("%s: panic %q, want one naming %q", name, msg, want)
+			}
+		}()
+		run()
+	}
+	for _, tc := range []struct {
+		name string
+		f    *tensor.FeatureMap
+		w    *tensor.KernelStack
+		want string
+	}{
+		{"2x3x300 plane", wide, w3, "set TileW and TileH to at most 256"},
+		{"2x300x3 plane", tall, w3, "set TileW and TileH to at most 256"},
+		{"65537-channel kernel stack", pixel, g.Kernels(1<<16+1, 1, 1, 1, 8, 1), "65536 channels of at most 256x256"},
+		{"1x257 kernel stack", pair, g.Kernels(1, 1, 1, 257, 8, 1), "65536 channels of at most 256x256"},
+	} {
+		panics("SimulateCore on a "+tc.name, tc.want, func() {
+			SimulateCore(tc.f, tc.w, 1, 0, CoreSimConfig{Tile: tileCfg})
+		})
+		panics("SimulateConv on a "+tc.name, tc.want, func() {
+			SimulateConv(tc.f, tc.w, 1, 0, Config{Tiles: 2, Tile: tileCfg})
+		})
+	}
+	want := refconv.Conv(wide, w3, 1, 1)
+	if got := SimulateCore(wide, w3, 1, 1, CoreSimConfig{Tile: tileCfg, TileW: 128}).Output; !got.Equal(want) {
+		t.Errorf("SimulateCore on 128-wide tiles of a 300-wide plane: max diff %d from the reference", got.MaxAbsDiff(want))
+	}
+	if got := SimulateConv(wide, w3, 1, 1, Config{Tiles: 2, Tile: tileCfg, TileW: 128}).Output; !got.Equal(want) {
+		t.Errorf("SimulateConv on 128-wide tiles of a 300-wide plane: max diff %d from the reference", got.MaxAbsDiff(want))
 	}
 }

@@ -180,8 +180,7 @@ func TestSimulateConvGolden(t *testing.T) {
 			continue
 		}
 		for _, dense := range []bool{false, true} {
-			cfg := ristretto.Config{Tiles: c.core.Tiles, Tile: c.core.Tile, TileW: c.core.TileW, TileH: c.core.TileH, Policy: c.core.Policy, Dense: dense}
-			r := ristretto.SimulateConv(c.f, c.w, c.stride, c.pad, cfg)
+			r := ristretto.SimulateConv(c.f, c.w, c.stride, c.pad, c.conv(dense))
 			fmt.Fprintf(&sb, "%s dense=%t cycles=%d tiles=%v stalls=%d products=%d deliveries=%d conflicts=%d\n",
 				c.name, dense, r.Cycles, r.TileCycles, r.Stalls, r.Products, r.Deliveries, r.Conflicts)
 			fmt.Fprintf(&sb, "  counters=%+v\n  output=%dx%dx%d:%s\n",
@@ -189,6 +188,12 @@ func TestSimulateConvGolden(t *testing.T) {
 		}
 	}
 	checkGolden(t, "simulate_conv.golden", sb.String())
+}
+
+// conv is the case's SimulateConv configuration: its core shape, with
+// Ristretto-ns streams when dense is set.
+func (c simCase) conv(dense bool) ristretto.Config {
+	return ristretto.Config{Tiles: c.core.Tiles, Tile: c.core.Tile, TileW: c.core.TileW, TileH: c.core.TileH, Policy: c.core.Policy, Dense: dense}
 }
 
 // raceDetector is set under -race (race_test.go). The race detector makes
@@ -199,14 +204,16 @@ func TestSimulateConvGolden(t *testing.T) {
 var raceDetector bool
 
 // TestSimulateCoreWorkerInvariance runs the golden cases at GOMAXPROCS 1, 2
-// and 8. SimulateCore fans the stream build and the compute tiles out over
-// that many goroutines; neither its results nor its traces may depend on
-// how many.
+// and 8. SimulateCore and SimulateConv fan their per-channel pass out over
+// that many goroutines; neither their results nor SimulateCore's traces may
+// depend on how many. SimulateConv runs the cases of its golden, sparse and
+// dense.
 func TestSimulateCoreWorkerInvariance(t *testing.T) {
 	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(0))
 	type run struct {
 		res    ristretto.CoreSimResult
 		events []ristretto.TraceEvent
+		conv   [2]ristretto.SimResult // sparse, dense; zero on the sim-serve cases
 	}
 	var cases []simCase
 	for _, c := range goldenCases() {
@@ -221,7 +228,12 @@ func TestSimulateCoreWorkerInvariance(t *testing.T) {
 			tr := &ristretto.MemoryTracer{}
 			cfg := c.core
 			cfg.Trace = tr
-			got := run{ristretto.SimulateCore(c.f, c.w, c.stride, c.pad, cfg), tr.Events}
+			got := run{res: ristretto.SimulateCore(c.f, c.w, c.stride, c.pad, cfg), events: tr.Events}
+			if !c.serve {
+				for d, dense := range []bool{false, true} {
+					got.conv[d] = ristretto.SimulateConv(c.f, c.w, c.stride, c.pad, c.conv(dense))
+				}
+			}
 			if procs == 1 {
 				serial = append(serial, got)
 				continue
@@ -229,6 +241,12 @@ func TestSimulateCoreWorkerInvariance(t *testing.T) {
 			want := serial[i]
 			if !got.res.Output.Equal(want.res.Output) {
 				t.Fatalf("%s: output at GOMAXPROCS %d differs from GOMAXPROCS 1", c.name, procs)
+			}
+			for d := range got.conv {
+				if g, w := got.conv[d], want.conv[d]; !reflect.DeepEqual(g, w) {
+					t.Fatalf("%s dense=%t: SimulateConv at GOMAXPROCS %d: cycles=%d tiles=%v stalls=%d; GOMAXPROCS 1: cycles=%d tiles=%v stalls=%d (outputs equal: %t)",
+						c.name, d == 1, procs, g.Cycles, g.TileCycles, g.Stalls, w.Cycles, w.TileCycles, w.Stalls, g.Output.Equal(w.Output))
+				}
 			}
 			if !reflect.DeepEqual(got, want) {
 				t.Fatalf("%s: GOMAXPROCS %d: cycles=%d busy=%v drain_wait=%d, %d events; GOMAXPROCS 1: cycles=%d busy=%v drain_wait=%d, %d events",

@@ -123,10 +123,10 @@ func TestTileCoreParityDegenerate(t *testing.T) {
 // per-shape step on a single compute tile.
 func runSingleJob(job tileJob, cfg TileConfig, loadWidth, drainWidth int) CoreSimResult {
 	ccfg := CoreSimConfig{Tiles: 1, Tile: cfg, LoadWidth: loadWidth, DrainWidth: drainWidth}.withDefaults()
-	p := newCorePass(ccfg, 1, []tensor.Tile{job.tile}, []*tensor.OutputMap{job.full})
+	p := newCorePass(ccfg, 1, 1)
 	var tl timeline
 	var sum CoreSimResult
-	p.job(NewTileScratch(), &tl, &sum, 0, job.acts, job.weights)
+	NewTileScratch().job(&tl, &sum, &ccfg, nil, 0, job.tile, job.full, nil, job.acts, job.weights)
 	p.finish(0, tl, &sum, len(job.acts), len(job.weights))
 	return p.l.Run(1, balance.None)
 }
@@ -210,7 +210,8 @@ func TestEmptyBankDrainSkipped(t *testing.T) {
 
 // TestScratchReuseIsClean runs two very different intersections through one
 // scratch back to back and checks the second result is identical to a
-// fresh-scratch run — the all-drained invariant between runs.
+// fresh-scratch run — the all-drained invariant between runs. Reused, the
+// scratch must also keep the promise of an allocation-free call.
 func TestScratchReuseIsClean(t *testing.T) {
 	g := workload.NewGen(7300)
 	f1 := g.FeatureMap(1, 9, 9, 8, 0.9)
@@ -242,5 +243,14 @@ func TestScratchReuseIsClean(t *testing.T) {
 		if fresh.Data[i] != reused.Data[i] {
 			t.Fatalf("scratch reuse corrupted output[%d]: %d vs %d", i, reused.Data[i], fresh.Data[i])
 		}
+	}
+
+	// On the warmed scratch, neither intersection allocates.
+	allocs := testing.AllocsPerRun(20, func() {
+		SimulateIntersectionScratch(a1, s1, w1.KH, w1.KW, f1.W, f1.H, big, cfg, s)
+		SimulateIntersectionScratch(a2, s2, w2.KH, w2.KW, f2.W, f2.H, reused, cfg, s)
+	})
+	if allocs != 0 {
+		t.Fatalf("two intersections on a warmed scratch allocated %v times per run, want 0", allocs)
 	}
 }

@@ -43,7 +43,6 @@ type TileResult struct {
 	StallCycles int64 // every cycle the chain could not advance on FIFO back-pressure (fill and drain phases alike — the unified definition shared with the core sim)
 	Products    int64 // atom multiplications performed
 	Deliveries  int64 // accumulator deliveries routed through the crossbar
-	Rounds      int   // static-stream chunks processed
 	Conflicts   int64 // crossbar deliveries deferred by a same-bank write
 	Stages      telemetry.StageCycles
 	Counters    energy.Counters
@@ -85,21 +84,22 @@ type lastAtom struct {
 }
 
 // TileScratch owns the reusable simulation state of one compute tile, so a
-// caller sweeping many intersections (SimulateConv, the benchmark suite, the
-// daemon) pays the buffer allocations once instead of per intersection — and
-// nothing at all per simulated cycle. All fields are sized lazily against
-// the largest intersection seen. The zero value is ready to use.
+// caller sweeping many intersections (the per-channel pass's workers, the
+// benchmark suite) pays the buffer allocations once instead of per
+// intersection — and nothing at all per simulated cycle. All fields are
+// sized lazily against the largest intersection seen. The zero value is
+// ready to use.
 //
-// It is also the one Atomputer/Atomulator kernel both simulators call:
-// startJob loads an intersection and splits its static stream into chunks,
-// and runChunk runs one chunk to its end, for SimulateIntersectionScratch
-// and for each compute tile of the core simulator alike. A chunk whose
-// slots hold pairwise distinct output channels cannot conflict or stall,
-// so runChunk computes it in closed form (runDistinct); any other chunk is
-// stepped one pipeline cycle at a time (startChunk, then cycle until it
-// reports the end). The stepped kernel only touches what is in flight: the
-// chain is a window over the activation stream, only slots holding a Last
-// atom deliver, and the crossbar visits the non-empty FIFOs of a bitmask.
+// It is also the one Atomputer/Atomulator kernel, which the per-channel
+// pass's job loop (coresim.go) calls for every simulator: startJob loads an
+// intersection and splits its static stream into chunks, and runChunk runs
+// one chunk to its end. A chunk whose slots hold pairwise distinct output
+// channels cannot conflict or stall, so runChunk computes it in closed form
+// (runDistinct); any other chunk is stepped one pipeline cycle at a time
+// (startChunk, then cycle until it reports the end). The stepped kernel
+// only touches what is in flight: the chain is a window over the activation
+// stream, only slots holding a Last atom deliver, and the crossbar visits
+// the non-empty FIFOs of a bitmask.
 //
 // Invariant between runs: bank is all-zero and present/touched empty (every
 // run drains fully), so re-use needs no explicit clearing. A scratch also
@@ -120,11 +120,11 @@ type TileScratch struct {
 	written  []uint64   // per-cycle crossbar bank bitmask, indexed by output channel
 	writtenK []uint16   // channels written this cycle, for sparse clearing
 
-	streamer core.WeightStreamer // the stream build's temporaries (PrepareCore, buildStreams)
+	streamer core.WeightStreamer // the per-channel pass's stream-build temporaries
 
-	// PrepareCore's buffers for the current input channel: its weight
-	// stream, its activation stream on the current spatial tile, and its
-	// drains.
+	// The per-channel pass's buffers for the current input channel: its
+	// weight stream, its activation stream on the current spatial tile,
+	// and its drains (which SimulateIntersectionScratch borrows).
 	weights []core.WeightAtom
 	acts    []core.ActAtom
 	drains  []drainReq
@@ -442,15 +442,15 @@ func (s *TileScratch) runDistinct() {
 }
 
 // fold adds the finished chunk's stalls, work, stage cycles and counters
-// into a simulator's result fields.
-func (s *TileScratch) fold(stalls, products, deliveries, conflicts *int64, stages *telemetry.StageCycles, cnt *energy.Counters) {
+// into a job's accounting.
+func (s *TileScratch) fold(sum *CoreSimResult) {
 	r := &s.tally
-	*stalls += r.StallCycles
-	*products += r.Products
-	*deliveries += r.Deliveries
-	*conflicts += r.Conflicts
-	stages.Merge(r.Stages)
-	cnt.Add(r.Counters)
+	sum.Stalls += r.StallCycles
+	sum.Products += r.Products
+	sum.Deliveries += r.Deliveries
+	sum.Conflicts += r.Conflicts
+	sum.Stages.Merge(r.Stages)
+	sum.Counters.Add(r.Counters)
 }
 
 // drainBanks applies the decoupled weight-slice shift and aggregates every
@@ -473,13 +473,13 @@ func (s *TileScratch) drainBanks(dst []int32, shift uint8, acc *energy.Counters)
 }
 
 // SimulateIntersectionScratch runs one (input channel, spatial tile)
-// intersection on the cycle-level tile model: the weight atom stream is
-// split into static chunks that never straddle a slice boundary (so every
-// accumulate-bank drain has a single decoupled shift); for each chunk the
-// activation stream flows through the systolic multiplier chain one atom per
-// cycle; accumulator deliveries are routed through per-slot FIFOs and a
-// crossbar that accepts one write per bank per cycle, stalling the pipeline
-// on back-pressure.
+// intersection on the cycle-level tile model, as one job of the per-channel
+// pass: the weight atom stream is split into static chunks that never
+// straddle a slice boundary (so every accumulate-bank drain has a single
+// decoupled shift); for each chunk the activation stream flows through the
+// systolic multiplier chain one atom per cycle; accumulator deliveries are
+// routed through per-slot FIFOs and a crossbar that accepts one write per
+// bank per cycle, stalling the pipeline on back-pressure.
 //
 // Numerical results accumulate into out (the K×fullH×fullW full-convolution
 // buffer); cycle accounting credits the ping-pong weight registers: a
@@ -487,49 +487,20 @@ func (s *TileScratch) drainBanks(dst []int32, shift uint8, acc *energy.Counters)
 // next round's fill (Eq. 3/4).
 //
 // s is caller-owned scratch (NewTileScratch): reused across a sweep, the
-// hot loop performs no heap allocation at all.
+// call performs no heap allocation at all.
 func SimulateIntersectionScratch(acts []core.ActAtom, weights []core.WeightAtom, kh, kw, tileW, tileH int, out *tensor.OutputMap, cfg TileConfig, s *TileScratch) TileResult {
-	cfg = cfg.withDefaults()
 	fullW, fullH := tileW+kw-1, tileH+kh-1
 	if out.W != fullW || out.H != fullH {
 		panic(fmt.Sprintf("ristretto: out buffer %dx%d, want %dx%d", out.W, out.H, fullW, fullH))
 	}
-	var res TileResult
-	if len(acts) == 0 || len(weights) == 0 {
-		return res
-	}
-
-	chunks := s.startJob(acts, weights, tileW, tileH, out, cfg)
-	var occHist *telemetry.Histogram
-	if telemetry.Default.Enabled() {
-		occHist = telemetry.Default.Histogram("ristretto.accbuf.occupancy_entries")
-	}
-
-	for ci, chunk := range chunks {
-		res.Rounds++
-		// Static-stream load: 1 B per atom (incl. metadata) every round —
-		// the ping-pong registers hide the load latency, not the traffic.
-		res.Counters.WeightBufBytes += int64(len(chunk))
-		s.runChunk(chunk)
-		s.fold(&res.StallCycles, &res.Products, &res.Deliveries, &res.Conflicts, &res.Stages, &res.Counters)
-		// Ping-pong overlap: all but the final chunk hide their drain under
-		// the next chunk's fill.
-		last := ci == len(chunks)-1
-		if last {
-			res.Cycles += s.tally.Cycles
-		} else {
-			res.Cycles += s.entered
-		}
-		// Drain the accumulate banks at slice boundaries (decoupled shift).
-		if last || chunks[ci+1][0].Shift != chunk[0].Shift {
-			if occHist != nil {
-				occHist.Observe(int64(len(s.touched)))
-			}
-			s.drainBanks(out.Data, chunk[0].Shift, &res.Counters)
-		}
-	}
-	telemetry.Default.AddStageCycles(res.Stages)
-	return res
+	ccfg := CoreSimConfig{Tile: cfg}.withDefaults()
+	tl := timeline{drains: s.drains[:0]}
+	var sum CoreSimResult
+	s.job(&tl, &sum, &ccfg, occupancy(), 0, tensor.Tile{W: tileW, H: tileH}, out, nil, acts, weights)
+	s.drains = tl.drains
+	telemetry.Default.AddStageCycles(sum.Stages)
+	return TileResult{Cycles: tl.cycles, StallCycles: sum.Stalls, Products: sum.Products, Deliveries: sum.Deliveries,
+		Conflicts: sum.Conflicts, Stages: sum.Stages, Counters: sum.Counters}
 }
 
 // classifyStages attributes one pipeline cycle to the busy/stall/idle bucket
