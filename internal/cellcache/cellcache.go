@@ -21,8 +21,8 @@
 //   - concurrent requests for the same fingerprint singleflight through Do,
 //     on an internal/memo cache with a zero budget (payloads live on disk,
 //     so it holds only the fills in progress): one leader computes while
-//     waiters block on the in-flight result, and neither errors nor panics
-//     are ever cached;
+//     waiters wait on the in-flight result under their own contexts, under
+//     memo.Cache.Do's joiner rule, and neither errors nor panics are cached;
 //   - the store is append-only content addressing — a fingerprint's bytes
 //     never change once written, so hits are byte-identical to the
 //     computation that produced them (the cache correctness tests enforce
@@ -260,12 +260,9 @@ func (c *Cache) Get(fp string) ([]byte, bool) {
 // failures the cache degrades to read-only and Put returns ErrDegraded
 // without touching the disk — a full disk must only ever cost speed.
 func (c *Cache) Put(fp string, payload []byte) error {
-	c.emu.Lock()
-	if c.degraded {
-		c.emu.Unlock()
+	if c.Degraded() {
 		return ErrDegraded
 	}
-	c.emu.Unlock()
 	data := encodeEntry(fp, payload)
 	err := c.write(fp, data)
 	if err != nil {
@@ -300,15 +297,18 @@ func (c *Cache) write(fp string, data []byte) error {
 // a disk hit returns immediately (hit=true); otherwise the first caller
 // becomes the leader, runs compute, stores a successful result and
 // publishes it to every concurrent caller of the same fingerprint
-// (hit=false for all of them — exactly one compute ran). A failed compute
-// is returned to the whole flight and nothing is cached, so the next
-// request elects a fresh leader; a panicking compute makes every waiter
-// panic with the same value, and the next request computes again.
-func (c *Cache) Do(fp string, compute func() ([]byte, error)) (payload []byte, hit bool, err error) {
+// (hit=false for all of them). Waiters wait under ctx, and the flight
+// follows memo.Cache.Do: a failed compute is returned to the whole flight
+// and nothing is cached, unless fillerOnly marks the error as the
+// leader's own, when each waiter makes its own attempt. A panicking
+// compute makes every waiter panic with the same value. Every waiter
+// counts once in fleet.cache.inflight_dedup.
+func (c *Cache) Do(ctx context.Context, fp string, compute func() ([]byte, error), fillerOnly func(error) bool) (payload []byte, hit bool, err error) {
 	if v, ok := c.Get(fp); ok {
 		return v, true, nil
 	}
-	v, shared, err := c.fills.Do(context.TODO(), fp, func() ([]byte, error) {
+	joined := false // memo tests an outcome only for a waiter, so a test means this caller joined
+	v, shared, err := c.fills.Do(ctx, fp, func() ([]byte, error) {
 		v, err := compute()
 		if err == nil {
 			// A failed write degrades to uncached: the result is still
@@ -319,8 +319,11 @@ func (c *Cache) Do(fp string, compute func() ([]byte, error)) (payload []byte, h
 			_ = c.Put(fp, v)
 		}
 		return v, err
+	}, func(err error) bool {
+		joined = true
+		return fillerOnly != nil && fillerOnly(err)
 	})
-	if shared { // the store never holds a value, so shared means a joined fill
+	if shared || joined { // the store never holds a value, so shared means a joined fill
 		c.dedup.Inc()
 	}
 	return v, false, err

@@ -2,6 +2,7 @@ package cellcache
 
 import (
 	"bytes"
+	"context"
 	"errors"
 	"fmt"
 	"os"
@@ -45,10 +46,10 @@ func TestHitReturnsIdenticalBytes(t *testing.T) {
 		t.Fatalf("hit bytes differ:\n got %q\nwant %q", got, payload)
 	}
 	// And through the singleflight path: the hit must not run compute.
-	v, hit, err := c.Do(fpA, func() ([]byte, error) {
+	v, hit, err := c.Do(context.Background(), fpA, func() ([]byte, error) {
 		t.Fatal("compute ran despite a cached entry")
 		return nil, nil
-	})
+	}, nil)
 	if err != nil || !hit || !bytes.Equal(v, payload) {
 		t.Fatalf("Do hit = (%q, %v, %v)", v, hit, err)
 	}
@@ -83,10 +84,10 @@ func TestCorruptEntryRecomputedNotServed(t *testing.T) {
 		t.Fatal("corrupt entry not deleted")
 	}
 	var computed atomic.Int64
-	v, hit, err := c.Do(fpA, func() ([]byte, error) {
+	v, hit, err := c.Do(context.Background(), fpA, func() ([]byte, error) {
 		computed.Add(1)
 		return payload, nil
-	})
+	}, nil)
 	if err != nil || hit || !bytes.Equal(v, payload) || computed.Load() != 1 {
 		t.Fatalf("recompute path = (%q, hit=%v, err=%v, computed=%d)", v, hit, err, computed.Load())
 	}
@@ -153,7 +154,7 @@ func TestDigestMismatchDeletedAndRecomputed(t *testing.T) {
 		t.Fatal("digest-mismatched entry not deleted")
 	}
 	want := []byte("payload computed for cell B")
-	v, hit, err := c.Do(fpB, func() ([]byte, error) { return want, nil })
+	v, hit, err := c.Do(context.Background(), fpB, func() ([]byte, error) { return want, nil }, nil)
 	if err != nil || hit || !bytes.Equal(v, want) {
 		t.Fatalf("recompute after digest mismatch = (%q, hit=%v, err=%v)", v, hit, err)
 	}
@@ -183,11 +184,11 @@ func TestConcurrentSameCellSingleflight(t *testing.T) {
 		wg.Add(1)
 		go func(i int) {
 			defer wg.Done()
-			v, _, err := c.Do(fpA, func() ([]byte, error) {
+			v, _, err := c.Do(context.Background(), fpA, func() ([]byte, error) {
 				computed.Add(1)
 				<-gate // hold the flight open so everyone piles in
 				return payload, nil
-			})
+			}, nil)
 			results[i], errs[i] = v, err
 		}(i)
 	}
@@ -217,13 +218,13 @@ func TestConcurrentSameCellSingleflight(t *testing.T) {
 func TestErrorsNeverCached(t *testing.T) {
 	c, _ := newCache(t)
 	boom := errors.New("compute failed")
-	if _, _, err := c.Do(fpA, func() ([]byte, error) { return nil, boom }); !errors.Is(err, boom) {
+	if _, _, err := c.Do(context.Background(), fpA, func() ([]byte, error) { return nil, boom }, nil); !errors.Is(err, boom) {
 		t.Fatalf("err = %v, want boom", err)
 	}
 	if _, ok := c.Get(fpA); ok {
 		t.Fatal("failed compute left a cache entry")
 	}
-	v, hit, err := c.Do(fpA, func() ([]byte, error) { return []byte("ok now"), nil })
+	v, hit, err := c.Do(context.Background(), fpA, func() ([]byte, error) { return []byte("ok now"), nil }, nil)
 	if err != nil || hit || string(v) != "ok now" {
 		t.Fatalf("retry after failure = (%q, %v, %v)", v, hit, err)
 	}
@@ -250,16 +251,16 @@ func TestPanickingComputeDoesNotWedge(t *testing.T) {
 		leader := make(chan any, 1)
 		go func() {
 			leader <- recovered(func() {
-				c.Do(fpA, func() ([]byte, error) {
+				c.Do(context.Background(), fpA, func() ([]byte, error) {
 					close(entered)
 					<-release
 					return explode()
-				})
+				}, nil)
 			})
 		}()
 		<-entered
 		waiter := make(chan any, 1)
-		go func() { waiter <- recovered(func() { c.Do(fpA, explode) }) }()
+		go func() { waiter <- recovered(func() { c.Do(context.Background(), fpA, explode, nil) }) }()
 		close(release)
 		for name, ch := range map[string]chan any{"leader": leader, "waiter": waiter} {
 			if v := <-ch; v != boom {
@@ -267,7 +268,7 @@ func TestPanickingComputeDoesNotWedge(t *testing.T) {
 				return
 			}
 		}
-		v, hit, err := c.Do(fpA, func() ([]byte, error) { return []byte("recomputed"), nil })
+		v, hit, err := c.Do(context.Background(), fpA, func() ([]byte, error) { return []byte("recomputed"), nil }, nil)
 		if err != nil || hit || string(v) != "recomputed" {
 			done <- fmt.Errorf("Do after the panic = (%q, %v, %v), want a fresh compute", v, hit, err)
 			return

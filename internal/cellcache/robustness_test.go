@@ -8,6 +8,7 @@ package cellcache
 
 import (
 	"bytes"
+	"context"
 	"errors"
 	"fmt"
 	"os"
@@ -41,13 +42,13 @@ func TestReadErrorIsAMissNotAServe(t *testing.T) {
 	c, r := openWith(t, Options{FS: fsys})
 	payload := []byte("payload")
 	computes := 0
-	v, hit, err := c.Do(fpA, func() ([]byte, error) { computes++; return payload, nil })
+	v, hit, err := c.Do(context.Background(), fpA, func() ([]byte, error) { computes++; return payload, nil }, nil)
 	if err != nil || hit || !bytes.Equal(v, payload) || computes != 1 {
 		t.Fatalf("Do under EIO = (%q, %v, %v), computes=%d", v, hit, err, computes)
 	}
 	// The entry was written (writes are clean in this spec) but every read
 	// EIOs: the next Do recomputes again instead of failing.
-	v, hit, err = c.Do(fpA, func() ([]byte, error) { computes++; return payload, nil })
+	v, hit, err = c.Do(context.Background(), fpA, func() ([]byte, error) { computes++; return payload, nil }, nil)
 	if err != nil || hit || !bytes.Equal(v, payload) || computes != 2 {
 		t.Fatalf("second Do under EIO = (%q, %v, %v), computes=%d", v, hit, err, computes)
 	}
@@ -125,7 +126,7 @@ func TestDegradedReadOnlyAfterPersistentWriteFailures(t *testing.T) {
 	}
 	// The sweep must not notice: Do computes and returns success.
 	payload := []byte("computed anyway")
-	v, hit, err := c.Do(fpA, func() ([]byte, error) { return payload, nil })
+	v, hit, err := c.Do(context.Background(), fpA, func() ([]byte, error) { return payload, nil }, nil)
 	if err != nil || hit || !bytes.Equal(v, payload) {
 		t.Fatalf("Do on degraded cache = (%q, %v, %v)", v, hit, err)
 	}

@@ -195,7 +195,7 @@ func (b *Bench) Stats(n *model.Network, precision string, gran atom.Granularity)
 		stats := g.NetworkStats(sn, p, gran, true)
 		observeWorkload(precision, stats)
 		return stats, nil
-	})
+	}, nil)
 	if err != nil {
 		panic(err)
 	}

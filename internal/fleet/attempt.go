@@ -197,18 +197,3 @@ func retryBackoff(strikes int, retryAfter time.Duration, seed int64, cell string
 	jitter := 0.75 + 0.5*detRoll(seed, "backoff", fmt.Sprintf("%s/%d", cell, strikes))
 	return time.Duration(float64(base) * jitter)
 }
-
-// sleepCtx pauses for d, returning false if ctx is done first.
-func sleepCtx(ctx context.Context, d time.Duration) bool {
-	if d <= 0 {
-		return ctx.Err() == nil
-	}
-	t := time.NewTimer(d)
-	defer t.Stop()
-	select {
-	case <-ctx.Done():
-		return false
-	case <-t.C:
-		return true
-	}
-}

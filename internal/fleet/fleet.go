@@ -524,7 +524,7 @@ func (c *coord) workerLoop(ctx context.Context, w int) {
 			// server's Retry-After and de-synchronize via deterministic
 			// jitter. The cell is already reassigned — only this worker's
 			// next poll waits.
-			if !sleepCtx(ctx, retryBackoff(strikes, res.retryAfter, c.cfg.Seed, cell)) {
+			if !runner.SleepCtx(ctx, retryBackoff(strikes, res.retryAfter, c.cfg.Seed, cell)) {
 				c.queue.retire(w)
 				return
 			}

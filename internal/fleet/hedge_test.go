@@ -153,26 +153,6 @@ func TestRetryBackoff(t *testing.T) {
 	}
 }
 
-// TestSleepCtxCancellation: a backoff sleep must abort promptly when the
-// sweep is cancelled, not run out its full duration.
-func TestSleepCtxCancellation(t *testing.T) {
-	ctx, cancel := context.WithCancel(context.Background())
-	go func() {
-		time.Sleep(20 * time.Millisecond)
-		cancel()
-	}()
-	start := time.Now()
-	if sleepCtx(ctx, 10*time.Second) {
-		t.Error("cancelled sleep reported completion")
-	}
-	if elapsed := time.Since(start); elapsed > 2*time.Second {
-		t.Errorf("cancelled sleep took %v", elapsed)
-	}
-	if !sleepCtx(context.Background(), time.Millisecond) {
-		t.Error("completed sleep reported cancellation")
-	}
-}
-
 // TestParseRetryAfter covers the delay-seconds form and the garbage the
 // parser must shrug off.
 func TestParseRetryAfter(t *testing.T) {

@@ -14,7 +14,8 @@
 // A fill that returns an error or panics stores nothing. The callers
 // waiting on it get the same error, or panic with the same value, and the
 // next caller fills again, so a store that lives as long as its process
-// never keeps a failure.
+// never keeps a failure. An error the caller marks as the filler's own is
+// not shared either: each waiter then makes its own attempt (see Do).
 package memo
 
 import (
@@ -93,15 +94,27 @@ func New[V any](budget int64, cost func(V) int64, r *telemetry.Registry, prefix,
 //
 // A fill that returns an error or panics stores nothing: the filler and
 // its waiters return that error, or panic with that value, and the next
-// caller for the key fills again.
-func (c *Cache[V]) Do(ctx context.Context, key string, fill func() (V, error)) (v V, shared bool, err error) {
+// caller for the key fills again. The exception is an error for which
+// fillerOnly (nil: none) reports true: it belongs to the filler's own
+// envelope (its shed, deadline expiry or client going away), so a waiter
+// never takes it but makes its own attempt within ctx, joining a newer
+// fill or filling itself. A waiter counts once in prefix.inflight_dedup.
+func (c *Cache[V]) Do(ctx context.Context, key string, fill func() (V, error), fillerOnly func(error) bool) (v V, shared bool, err error) {
+	joined := false
 	c.mu.Lock()
-	if v, ok := c.hit(key); ok {
-		c.mu.Unlock()
-		return v, true, nil
-	}
-	if fl, ok := c.flights[key]; ok {
-		c.dedup.Inc()
+	for {
+		if v, ok := c.hit(key); ok {
+			c.mu.Unlock()
+			return v, true, nil
+		}
+		fl, ok := c.flights[key]
+		if !ok {
+			break
+		}
+		if !joined {
+			joined = true
+			c.dedup.Inc()
+		}
 		c.mu.Unlock()
 		select {
 		case <-fl.done:
@@ -111,7 +124,13 @@ func (c *Cache[V]) Do(ctx context.Context, key string, fill func() (V, error)) (
 		if fl.panicked {
 			panic(fl.pval)
 		}
-		return fl.val, true, fl.err
+		if fl.err == nil || fillerOnly == nil || !fillerOnly(fl.err) {
+			return fl.val, true, fl.err
+		}
+		if err := ctx.Err(); err != nil {
+			return v, true, err
+		}
+		c.mu.Lock()
 	}
 	fl := &flight[V]{done: make(chan struct{})}
 	c.flights[key] = fl

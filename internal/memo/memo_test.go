@@ -41,7 +41,7 @@ func TestDoFillsOnce(t *testing.T) {
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
-			v, shared, err := c.Do(context.Background(), "k", fill)
+			v, shared, err := c.Do(context.Background(), "k", fill, nil)
 			if err != nil || v != 42 {
 				t.Errorf("Do = %d, %v; want 42, nil", v, err)
 			}
@@ -63,7 +63,7 @@ func TestDoFillsOnce(t *testing.T) {
 	if m := reg.Counter("m.misses").Load(); m != 1 {
 		t.Fatalf("misses = %d, want 1", m)
 	}
-	if v, shared, _ := c.Do(context.Background(), "k", value(0)); v != 42 || !shared {
+	if v, shared, _ := c.Do(context.Background(), "k", value(0), nil); v != 42 || !shared {
 		t.Fatalf("stored value = %d (shared %v), want the fill's 42", v, shared)
 	}
 }
@@ -78,7 +78,7 @@ func TestDoFailedFillNotStored(t *testing.T) {
 	waiter := make(chan error, 1)
 	go func() {
 		waitFor(func() bool { return reg.Counter("m.misses").Load() == 1 })
-		_, _, err := c.Do(context.Background(), "k", value(0))
+		_, _, err := c.Do(context.Background(), "k", value(0), nil)
 		waiter <- err
 	}()
 	go func() {
@@ -88,7 +88,7 @@ func TestDoFailedFillNotStored(t *testing.T) {
 	_, _, err := c.Do(context.Background(), "k", func() (int, error) {
 		<-release
 		return 0, boom
-	})
+	}, nil)
 	if !errors.Is(err, boom) {
 		t.Fatalf("filler got %v, want boom", err)
 	}
@@ -98,7 +98,7 @@ func TestDoFailedFillNotStored(t *testing.T) {
 	if c.Len() != 0 {
 		t.Fatalf("failed fill stored: %d entries", c.Len())
 	}
-	if v, shared, err := c.Do(context.Background(), "k", value(7)); v != 7 || shared || err != nil {
+	if v, shared, err := c.Do(context.Background(), "k", value(7), nil); v != 7 || shared || err != nil {
 		t.Fatalf("after a failure Do = %d, %v, %v; want a fresh fill of 7", v, shared, err)
 	}
 }
@@ -113,7 +113,7 @@ func TestDoPanickedFillNotStored(t *testing.T) {
 	panics := make(chan any, 2)
 	call := func(fill func() (int, error)) {
 		defer func() { panics <- recover() }()
-		c.Do(context.Background(), "k", fill)
+		c.Do(context.Background(), "k", fill, nil)
 	}
 	go call(func() (int, error) {
 		<-release
@@ -128,7 +128,7 @@ func TestDoPanickedFillNotStored(t *testing.T) {
 			t.Fatalf("caller %d recovered %v, want the fill's panic", i, p)
 		}
 	}
-	if v, shared, err := c.Do(context.Background(), "k", value(7)); v != 7 || shared || err != nil {
+	if v, shared, err := c.Do(context.Background(), "k", value(7), nil); v != 7 || shared || err != nil {
 		t.Fatalf("after a panic Do = %d, %v, %v; want a fresh fill of 7", v, shared, err)
 	}
 }
@@ -145,18 +145,111 @@ func TestDoWaiterGivesUp(t *testing.T) {
 		c.Do(context.Background(), "k", func() (int, error) {
 			<-release
 			return 42, nil
-		})
+		}, nil)
 	}()
 	waitFor(func() bool { return reg.Counter("m.misses").Load() == 1 })
 	ctx, cancel := context.WithCancel(context.Background())
 	cancel()
-	if _, _, err := c.Do(ctx, "k", value(0)); !errors.Is(err, context.Canceled) {
+	if _, _, err := c.Do(ctx, "k", value(0), nil); !errors.Is(err, context.Canceled) {
 		t.Fatalf("cancelled waiter got %v, want context.Canceled", err)
 	}
 	close(release)
 	<-filled
-	if v, _, _ := c.Do(context.Background(), "k", value(0)); v != 42 {
+	if v, _, _ := c.Do(context.Background(), "k", value(0), nil); v != 42 {
 		t.Fatalf("stored value = %d, want the fill's 42", v)
+	}
+}
+
+// failingFill blocks until release closes, then fails with err.
+func failingFill(release chan struct{}, err error) func() (int, error) {
+	return func() (int, error) {
+		<-release
+		return 0, err
+	}
+}
+
+// TestDoWaiterMakesOwnAttempt: a waiter does not take an error its test
+// marks as the filler's own. It runs its own fill and returns its own
+// value, unshared, and counts once as a joiner.
+func TestDoWaiterMakesOwnAttempt(t *testing.T) {
+	reg := telemetry.NewRegistry()
+	c := New[int](4, nil, reg, "m", "entries")
+	shed := errors.New("the filler's shed")
+	release := make(chan struct{})
+	filler := make(chan error, 1)
+	go func() {
+		_, _, err := c.Do(context.Background(), "k", failingFill(release, shed), nil)
+		filler <- err
+	}()
+	waitFor(func() bool { return reg.Counter("m.misses").Load() == 1 })
+	go func() {
+		waitFor(func() bool { return reg.Counter("m.inflight_dedup").Load() == 1 })
+		close(release)
+	}()
+	if v, shared, err := c.Do(context.Background(), "k", value(7), func(error) bool { return true }); v != 7 || shared || err != nil {
+		t.Fatalf("waiter Do = %d, %v, %v; want its own fill of 7, unshared", v, shared, err)
+	}
+	if err := <-filler; !errors.Is(err, shed) {
+		t.Fatalf("filler got %v, want its own error", err)
+	}
+	if d, m := reg.Counter("m.inflight_dedup").Load(), reg.Counter("m.misses").Load(); d != 1 || m != 2 {
+		t.Fatalf("inflight_dedup = %d, misses = %d; want 1 join and 2 fills", d, m)
+	}
+	if v, ok := c.Get("k"); !ok || v != 7 {
+		t.Fatalf("stored value = %d, %v; want the waiter's 7", v, ok)
+	}
+}
+
+// TestDoOwnAttemptEndsWithCtx: a waiter sent to its own attempt gives up
+// with ctx.Err() when its ctx ends before that attempt or while the
+// attempt waits on a newer fill, without running its own fill, and counts
+// once as a joiner however many fills it joined.
+func TestDoOwnAttemptEndsWithCtx(t *testing.T) {
+	for _, during := range []bool{false, true} {
+		reg := telemetry.NewRegistry()
+		c := New[int](4, nil, reg, "m", "entries")
+		release, release2 := make(chan struct{}), make(chan struct{})
+		go c.Do(context.Background(), "k", failingFill(release, errors.New("own")), nil)
+		waitFor(func() bool { return reg.Counter("m.misses").Load() == 1 })
+		go func() {
+			waitFor(func() bool { return reg.Counter("m.inflight_dedup").Load() == 1 })
+			close(release)
+		}()
+		newer := make(chan int, 1)
+		ctx, cancel := context.WithCancel(context.Background())
+		test := func(error) bool {
+			if !during {
+				cancel()
+				return true
+			}
+			// A newer caller fills the key before the waiter's own attempt,
+			// and the waiter's ctx ends while it waits on that fill. Should
+			// the cancel land before the attempt, the outcome is the same.
+			go func() {
+				v, _, _ := c.Do(context.Background(), "k", func() (int, error) { <-release2; return 3, nil }, nil)
+				newer <- v
+			}()
+			waitFor(func() bool { return reg.Counter("m.misses").Load() == 2 })
+			time.AfterFunc(20*time.Millisecond, cancel)
+			return true
+		}
+		_, _, err := c.Do(ctx, "k", func() (int, error) {
+			t.Errorf("during=%v: the waiter filled after its ctx ended", during)
+			return 0, nil
+		}, test)
+		if !errors.Is(err, context.Canceled) {
+			t.Fatalf("during=%v: waiter got %v, want context.Canceled", during, err)
+		}
+		if d := reg.Counter("m.inflight_dedup").Load(); d != 1 {
+			t.Fatalf("during=%v: inflight_dedup = %d, want the waiter counted once", during, d)
+		}
+		close(release2)
+		if during {
+			if v := <-newer; v != 3 {
+				t.Fatalf("newer fill = %d, want 3", v)
+			}
+		}
+		cancel()
 	}
 }
 
@@ -167,10 +260,10 @@ func TestDoEvictsByCost(t *testing.T) {
 	c := New[string](10, func(v string) int64 { return int64(len(v)) }, reg, "m", "bytes")
 	fill := func(v string) func() (string, error) { return func() (string, error) { return v, nil } }
 	ctx := context.Background()
-	c.Do(ctx, "a", fill("aaaa"))
-	c.Do(ctx, "b", fill("bbbb"))
-	c.Do(ctx, "a", fill("")) // a is now more recent than b
-	c.Do(ctx, "c", fill("ccc"))
+	c.Do(ctx, "a", fill("aaaa"), nil)
+	c.Do(ctx, "b", fill("bbbb"), nil)
+	c.Do(ctx, "a", fill(""), nil) // a is now more recent than b
+	c.Do(ctx, "c", fill("ccc"), nil)
 
 	if got := reg.Counter("m.evictions").Load(); got != 1 {
 		t.Fatalf("evictions = %d, want 1", got)

@@ -348,7 +348,7 @@ func runCell[T any](ctx context.Context, cfg Cfg, t *taps, i int, fn func(i int)
 				if shift > 16 {
 					shift = 16
 				}
-				retry = sleepCtx(ctx, cfg.Backoff<<shift)
+				retry = SleepCtx(ctx, cfg.Backoff<<shift)
 			}
 		}
 		if retry {
@@ -414,9 +414,12 @@ func attempt[T any](ctx context.Context, cfg Cfg, t *taps, i, try int, fn func(i
 	}
 }
 
-// sleepCtx sleeps for d unless ctx is cancelled first, reporting whether the
-// full sleep completed.
-func sleepCtx(ctx context.Context, d time.Duration) bool {
+// SleepCtx sleeps for d unless ctx is cancelled first, reporting whether the
+// full sleep completed. A d of zero or less returns at once, with no timer.
+func SleepCtx(ctx context.Context, d time.Duration) bool {
+	if d <= 0 {
+		return ctx.Err() == nil
+	}
 	timer := time.NewTimer(d)
 	defer timer.Stop()
 	select {

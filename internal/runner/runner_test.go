@@ -401,6 +401,26 @@ func TestAsCellErrors(t *testing.T) {
 	}
 }
 
+// TestSleepCtxCancellation: a backoff sleep must abort promptly when the
+// sweep is cancelled, not run out its full duration.
+func TestSleepCtxCancellation(t *testing.T) {
+	ctx, cancel := context.WithCancel(context.Background())
+	go func() {
+		time.Sleep(20 * time.Millisecond)
+		cancel()
+	}()
+	start := time.Now()
+	if SleepCtx(ctx, 10*time.Second) {
+		t.Error("cancelled sleep reported completion")
+	}
+	if elapsed := time.Since(start); elapsed > 2*time.Second {
+		t.Errorf("cancelled sleep took %v", elapsed)
+	}
+	if !SleepCtx(context.Background(), time.Millisecond) {
+		t.Error("completed sleep reported cancellation")
+	}
+}
+
 // TestBackoffCancelPrompt is the regression guard for context-aware retry
 // backoff: cancelling the context while a cell sleeps between attempts must
 // abort the sleep immediately — not wait out the full (here: 10s) backoff —

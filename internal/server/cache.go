@@ -43,15 +43,9 @@ func (*degradedAnswer) Error() string { return "degraded answer" }
 // hits are served from the stored pristine value in microseconds without
 // touching admission; a miss elects one leader through the full compute
 // envelope while concurrent identical requests join its fill, each waiting
-// under its own deadline. Two rules keep one request's envelope from
-// leaking into another's answer:
-//
-//  1. A degraded answer is served but never stored.
-//  2. A joiner never inherits an outcome that belongs to the leader's
-//     envelope: its shed, its deadline expiry, its client going away, or a
-//     degraded answer the joiner's own priority class would not get. The
-//     joiner then makes its own attempt within its own deadline. A computed
-//     answer, an engine error or a recovered panic is shared.
+// under its own deadline. A degraded answer is served but never stored,
+// and a joiner takes no outcome that belongs to the leader's envelope
+// (leaderOnly; memo.Cache.Do makes it retry on its own instead).
 func (s *Server) serveMemoized(w http.ResponseWriter, r *http.Request, ep string, tc tenantCtx, deadlineMS int64, key string, work func(ctx context.Context) (any, error)) {
 	if s.memo == nil {
 		s.execute(w, r, ep, tc, deadlineMS, work)
@@ -66,7 +60,7 @@ func (s *Server) serveMemoized(w http.ResponseWriter, r *http.Request, ep string
 	// leader's own compute arms its deadline inside the envelope.
 	ctx, cancel := context.WithTimeout(r.Context(), s.resolveDeadline(deadlineMS))
 	defer cancel()
-	fill := func() (memoizable, error) {
+	v, shared, err := s.memo.Do(ctx, key, func() (memoizable, error) {
 		res, aerr := s.compute(r, tc, deadlineMS, nil, work)
 		if aerr != nil {
 			return nil, aerr
@@ -76,41 +70,46 @@ func (s *Server) serveMemoized(w http.ResponseWriter, r *http.Request, ep string
 			return nil, &degradedAnswer{v}
 		}
 		return v, nil
-	}
-	v, shared, err := s.memo.Do(ctx, key, fill)
-	for shared && s.leaderOnly(err, tc.class) {
-		if err = ctx.Err(); err != nil {
-			break
-		}
-		v, shared, err = s.memo.Do(ctx, key, fill) // this request's own attempt
-	}
+	}, s.leaderOnly(tc.class))
 	var deg *degradedAnswer
-	var aerr *apiError
 	switch {
 	case err == nil:
 		s.finish(w, ep, tc, start, v.memoClone(shared))
 	case errors.As(err, &deg):
 		s.finish(w, ep, tc, start, deg.v.memoClone(shared))
-	case errors.As(err, &aerr):
-		s.fail(w, ep, aerr)
-	case errors.Is(err, context.DeadlineExceeded):
-		s.timeouts.Inc()
-		s.fail(w, ep, &apiError{Status: http.StatusGatewayTimeout, Msg: "deadline exceeded"})
 	default:
-		s.fail(w, ep, &apiError{Status: http.StatusServiceUnavailable, Msg: "client went away", RetryAfter: 1})
+		s.fail(w, ep, s.joinError(err))
 	}
 }
 
-// leaderOnly reports whether a fill's outcome err belongs to its leader
-// alone (rule 2 of serveMemoized), so a joiner of class must not take it.
-func (s *Server) leaderOnly(err error, class priorityClass) bool {
-	var deg *degradedAnswer
+// leaderOnly is the fillerOnly test of memo.Cache.Do and cellcache.Do for
+// a joiner of class: an apiError marked own, or a degraded answer class
+// would not get, belongs to the leader alone.
+func (s *Server) leaderOnly(class priorityClass) func(error) bool {
+	return func(err error) bool {
+		var deg *degradedAnswer
+		var aerr *apiError
+		switch {
+		case errors.As(err, &deg):
+			return !s.brk.degrade(class)
+		case errors.As(err, &aerr):
+			return aerr.own
+		}
+		return false
+	}
+}
+
+// joinError maps the error of a singleflight Do to its answer: the fill's
+// apiError, or a 504 or 503 when the request's own deadline or client
+// ended its wait on another request's fill.
+func (s *Server) joinError(err error) *apiError {
 	var aerr *apiError
 	switch {
-	case errors.As(err, &deg):
-		return !s.brk.degrade(class)
 	case errors.As(err, &aerr):
-		return aerr.own
+		return aerr
+	case errors.Is(err, context.DeadlineExceeded):
+		s.timeouts.Inc()
+		return &apiError{Status: http.StatusGatewayTimeout, Msg: "deadline exceeded"}
 	}
-	return false
+	return &apiError{Status: http.StatusServiceUnavailable, Msg: "client went away", RetryAfter: 1}
 }

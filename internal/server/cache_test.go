@@ -185,9 +185,15 @@ func TestMemoLeaderEnvelope(t *testing.T) {
 // compute pinned slow, the n-th fill is then still in flight.
 func awaitFill(t *testing.T, reg *telemetry.Registry, n int64) {
 	t.Helper()
-	for give := time.Now().Add(10 * time.Second); reg.Counter("server.cache.misses").Load() < n; time.Sleep(time.Millisecond) {
+	awaitCounter(t, reg, "server.cache.misses", n)
+}
+
+// awaitCounter returns once the counter name has reached n.
+func awaitCounter(t *testing.T, reg *telemetry.Registry, name string, n int64) {
+	t.Helper()
+	for give := time.Now().Add(10 * time.Second); reg.Counter(name).Load() < n; time.Sleep(time.Millisecond) {
 		if time.Now().After(give) {
-			t.Fatalf("the memo never started fill %d", n)
+			t.Fatalf("%s never reached %d", name, n)
 		}
 	}
 }

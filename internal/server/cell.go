@@ -13,8 +13,8 @@ package server
 import (
 	"context"
 	"encoding/json"
-	"errors"
 	"net/http"
+	"slices"
 	"time"
 
 	"ristretto/internal/experiments"
@@ -47,14 +47,7 @@ func (r *CellRequest) validate(cfg *Config) *apiError {
 	if r.Cell == "" {
 		return badRequest("missing cell (allowed: %v)", experiments.CellKeys())
 	}
-	known := false
-	for _, k := range experiments.CellKeys() {
-		if k == r.Cell {
-			known = true
-			break
-		}
-	}
-	if !known {
+	if !slices.Contains(experiments.CellKeys(), r.Cell) {
 		return badRequest("unknown cell %q (allowed: %v)", r.Cell, experiments.CellKeys())
 	}
 	for _, n := range r.Nets {
@@ -111,7 +104,7 @@ func (s *Server) handleCell(w http.ResponseWriter, r *http.Request) {
 	// code runs (the envelope's own hook) reports a seed that replays the
 	// right cell locally.
 	seedFn := func(int) int64 { return workload.DeriveSeed(req.Seed, "job", req.Cell) }
-	run := func() (json.RawMessage, error) {
+	run := func() ([]byte, error) {
 		res, aerr := s.compute(r, tc, req.DeadlineMS, seedFn, func(ctx context.Context) (any, error) {
 			return s.runCell(ctx, &req)
 		})
@@ -124,25 +117,22 @@ func (s *Server) handleCell(w http.ResponseWriter, r *http.Request) {
 		return res.(json.RawMessage), nil
 	}
 
-	var payload json.RawMessage
+	var payload []byte
 	var hit bool
 	var err error
-	if s.cells != nil {
+	if cells := s.cfg.CellCache; cells != nil {
 		// Cache hits skip admission entirely (like memo hits); misses
 		// singleflight so concurrent identical cells elect one leader, who
-		// computes through the full envelope. Errors are never cached.
-		var pb []byte
-		pb, hit, err = s.cells.Do(fp, func() ([]byte, error) { return run() })
-		payload = pb
+		// computes through the full envelope, while the rest wait under
+		// their own deadlines as memo joiners do. Errors are never cached.
+		ctx, cancel := context.WithTimeout(r.Context(), s.resolveDeadline(req.DeadlineMS))
+		defer cancel()
+		payload, hit, err = cells.Do(ctx, fp, run, s.leaderOnly(tc.class))
 	} else {
 		payload, err = run()
 	}
 	if err != nil {
-		var aerr *apiError
-		if !errors.As(err, &aerr) {
-			aerr = &apiError{Status: http.StatusInternalServerError, Msg: err.Error()}
-		}
-		s.fail(w, "cell", aerr)
+		s.fail(w, "cell", s.joinError(err))
 		return
 	}
 	s.finish(w, "cell", tc, start, &CellResponse{

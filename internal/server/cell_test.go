@@ -2,14 +2,19 @@ package server
 
 import (
 	"bytes"
+	"context"
 	"encoding/json"
+	"fmt"
 	"net/http"
 	"path/filepath"
+	"strings"
 	"testing"
+	"time"
 
 	"ristretto/internal/cellcache"
 	"ristretto/internal/experiments"
 	"ristretto/internal/faultinject"
+	"ristretto/internal/telemetry"
 	"ristretto/internal/workload"
 )
 
@@ -146,5 +151,73 @@ func TestCellEndpointPanicCarriesReplaySeed(t *testing.T) {
 	}
 	if want := workload.DeriveSeed(9, "job", "figure12"); ce.Seed != want {
 		t.Errorf("replay seed %d, want the AllChecked derivation %d", ce.Seed, want)
+	}
+}
+
+// TestCellLeaderEnvelope is TestMemoLeaderEnvelope for /v1/cell on a
+// daemon with a cell cache: a request that joins another's fill takes none
+// of the leader's envelope. A patient joiner of a leader that times out or
+// hangs up makes its own attempt and answers 200 with no cell_error, and
+// a joiner with a short deadline answers 504 at that deadline instead of
+// waiting out the fill. Every joiner counts in fleet.cache.inflight_dedup.
+func TestCellLeaderEnvelope(t *testing.T) {
+	const fields = `"seed":4,"scale":32,"nets":["AlexNet"],"cell":"table4"`
+	for _, tc := range []struct {
+		name                 string
+		delay                time.Duration // injected into every compute
+		leaderMS, joinerMS   int64         // leaderMS 0: the leader's client hangs up at 50 ms
+		wantLeader, wantJoin int           // -1: the client gave up
+		within               time.Duration // the joiner's answer bound; 0: none
+	}{
+		{"leader times out", 300 * time.Millisecond, 50, 5000, http.StatusGatewayTimeout, http.StatusOK, 0},
+		{"leader hangs up", 300 * time.Millisecond, 0, 5000, -1, http.StatusOK, 0},
+		{"joiner times out", 600 * time.Millisecond, 5000, 50, http.StatusOK, http.StatusGatewayTimeout, 250 * time.Millisecond},
+	} {
+		var reg *telemetry.Registry
+		_, ts := newTestServer(t, func(c *Config) {
+			reg = c.Registry
+			c.Fault = faultinject.New(faultinject.Spec{Seed: 1, DelayProb: 1, Delay: tc.delay})
+			cache, err := cellcache.Open(filepath.Join(t.TempDir(), "cells"), c.Registry)
+			if err != nil {
+				t.Fatal(err)
+			}
+			c.CellCache = cache
+		})
+		ctx := context.Background()
+		leaderBody := fmt.Sprintf(`{%s,"deadline_ms":%d}`, fields, tc.leaderMS)
+		if tc.leaderMS == 0 {
+			var cancel context.CancelFunc
+			ctx, cancel = context.WithTimeout(ctx, 50*time.Millisecond)
+			defer cancel()
+			leaderBody = `{` + fields + `}`
+		}
+		leader := make(chan int, 1)
+		go func() {
+			req, _ := http.NewRequestWithContext(ctx, http.MethodPost, ts.URL+"/v1/cell", strings.NewReader(leaderBody))
+			resp, err := http.DefaultClient.Do(req)
+			if err != nil {
+				leader <- -1 // the client gave up
+				return
+			}
+			resp.Body.Close()
+			leader <- resp.StatusCode
+		}()
+		awaitCounter(t, reg, "fleet.cache.misses", 1)
+		start := time.Now()
+		resp, b := post(t, ts, "/v1/cell", fmt.Sprintf(`{%s,"deadline_ms":%d}`, fields, tc.joinerMS))
+		elapsed := time.Since(start)
+		lo := <-leader
+		if resp.StatusCode != tc.wantJoin || (tc.within > 0 && elapsed > tc.within) {
+			t.Errorf("%s: joiner = %d after %v (%s), want %d", tc.name, resp.StatusCode, elapsed, b, tc.wantJoin)
+		}
+		if bytes.Contains(b, []byte(`"cell_error"`)) {
+			t.Errorf("%s: joiner's answer carries the leader's cell_error: %s", tc.name, b)
+		}
+		if dedup := reg.Snapshot().Counters["fleet.cache.inflight_dedup"]; dedup < 1 {
+			t.Errorf("%s: the joiner never joined the leader's fill", tc.name)
+		}
+		if lo != tc.wantLeader {
+			t.Errorf("%s: leader got %d, want %d", tc.name, lo, tc.wantLeader)
+		}
 	}
 }

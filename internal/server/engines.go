@@ -117,7 +117,7 @@ func (s *Server) simLayer(ctx context.Context, req *SimRequest) (*ristretto.Core
 	}
 	l, _, err := s.layers.Do(ctx, req.layerKey(), func() (*ristretto.CoreLayer, error) {
 		return prepareSimLayer(req), nil
-	})
+	}, nil)
 	return l, err
 }
 

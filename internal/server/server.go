@@ -207,7 +207,6 @@ type Server struct {
 	memo     *memo.Cache[memoizable]           // response memo (server.cache.*); nil when memoization is disabled
 	stats    *experiments.StatsStore           // layer statistics shared by /v1/model and /v1/cell
 	layers   *memo.Cache[*ristretto.CoreLayer] // /v1/sim layers after the simulator's per-channel pass, keyed by SimRequest.layerKey (server.layers.*); nil when memoization is disabled
-	cells    *cellcache.Cache                  // nil when the cell cache is disabled
 	quota    *quotaTable
 	class    map[priorityClass]*classMetrics
 	fault    func(cell, attempt int) error
@@ -279,7 +278,6 @@ func New(cfg Config) *Server {
 	if cfg.Fault != nil {
 		s.fault = cfg.Fault.Hook()
 	}
-	s.cells = cfg.CellCache
 	return s
 }
 
