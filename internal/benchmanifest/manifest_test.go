@@ -139,6 +139,7 @@ func TestRegistryNamesStable(t *testing.T) {
 		"core/sim_layer_8x8x4",
 		"core/sim_serve_layer",
 		"core/sim_serve_reshape",
+		"core/sim_serve_cold",
 		"core/act_stream_16x16",
 		"core/weight_stream_16k",
 		"atom/decompose_sweep_8b",

@@ -163,10 +163,16 @@ func PruneToDensity(data []int32, density float64) float64 {
 // place: magnitudes below t become zero, and so does every value of
 // magnitude t after the first surplus of them in index order.
 func PruneAt(data []int32, t, surplus int) {
+	PruneCut(data, t, TieCut(data, t, surplus))
+}
+
+// PruneCut is PruneAt with the tie cut already found (TieCut): magnitudes
+// below t become zero, and so do those of magnitude t from index cut on.
+// t == 0 prunes nothing.
+func PruneCut(data []int32, t, cut int) {
 	if t == 0 {
 		return
 	}
-	cut := TieCut(data, t, surplus)
 	zeroBelow(data[:cut], t)
 	zeroBelow(data[cut:], t+1)
 }

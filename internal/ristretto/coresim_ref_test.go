@@ -10,6 +10,7 @@ import (
 	"ristretto/internal/atom"
 	"ristretto/internal/balance"
 	"ristretto/internal/core"
+	"ristretto/internal/energy"
 	"ristretto/internal/telemetry"
 	"ristretto/internal/tensor"
 	"ristretto/internal/workload"
@@ -18,7 +19,12 @@ import (
 // This file is the test oracle for SimulateCore's two-step schedule: the
 // lockstep simulator it replaced, in which one global loop steps every
 // compute tile's state machine once per cycle and the port goes to the
-// first draining tile in index order.
+// first draining tile in index order. Each tile steps the chain kernel's
+// cycle loop for every chunk, but keeps its own reference banks: a slice's
+// drain takes its entries from the products of the slice's weight atoms
+// with the job's Last atoms, checks the kernel's entry count and its
+// pre-shifted banks against them, and shifts them into the accumulator
+// itself, so the oracle's output never reads the kernel's banks.
 
 // tileJob is one (input channel, spatial tile) intersection assigned to a
 // compute tile.
@@ -108,11 +114,15 @@ type coreTile struct {
 	drainShift   uint8 // decoupled weight-slice shift of the pending drain
 	drainEntries int   // accumulate-bank entries in the pending drain
 
+	slice int             // the current slice's first chunk
+	ref   map[int32]int32 // the job's reference banks, slice shifts applied
+	err   error           // the first disagreement with the kernel's banks
+
 	busy int64
 }
 
 func newCoreTile(cfg TileConfig, loadWidth, drainWidth int, jobs []tileJob, tc *traceCtx, res *CoreSimResult) *coreTile {
-	t := &coreTile{cfg: cfg, loadWidth: loadWidth, drainWidth: drainWidth, jobs: jobs, s: NewTileScratch(), tc: tc}
+	t := &coreTile{cfg: cfg, loadWidth: loadWidth, drainWidth: drainWidth, jobs: jobs, s: NewTileScratch(), tc: tc, ref: map[int32]int32{}}
 	t.nextJob(res)
 	return t
 }
@@ -128,7 +138,7 @@ func (t *coreTile) nextJob(res *CoreSimResult) {
 			t.tc.emit("job_start", t.job, 0, fmt.Sprintf("acts=%d watoms=%d", len(j.acts), len(j.weights)))
 		}
 		t.chunks = t.s.startJob(j.acts, j.weights, j.tile.W, j.tile.H, j.full, t.cfg)
-		t.chunk = 0
+		t.chunk, t.slice = 0, 0
 		t.startChunk(res)
 		return
 	}
@@ -182,7 +192,8 @@ func (t *coreTile) step(res *CoreSimResult, drainPortFree *bool) {
 			if t.tc.on() {
 				t.tc.emit("drain_end", t.job, t.chunk, fmt.Sprintf("entries=%d shift=%d", t.drainEntries, t.drainShift))
 			}
-			t.s.drainBanks(t.jobs[t.job].full.Data, t.drainShift, &res.Counters)
+			res.Counters.AccBufBytes += 4 * int64(t.drainEntries)
+			res.Counters.OutputBufBytes += 4 * int64(t.drainEntries)
 			t.advanceChunk(res)
 		}
 	case tileStreaming:
@@ -200,8 +211,85 @@ func (t *coreTile) advanceChunk(res *CoreSimResult) {
 	if t.chunk < len(t.chunks) {
 		t.startChunk(res)
 	} else {
+		t.endJob()
 		t.job++
 		t.nextJob(res)
+	}
+}
+
+// sliceEntries returns the reference banks of the current job's slice of
+// chunks [t.slice, t.chunk]: each distinct accumulate-bank entry the
+// slice's products write, with their unshifted sum, products outside the
+// buffer dropped.
+func (t *coreTile) sliceEntries() map[int32]int32 {
+	j := &t.jobs[t.job]
+	kh, kw := j.full.H-j.tile.H+1, j.full.W-j.tile.W+1
+	entries := map[int32]int32{}
+	for _, chunk := range t.chunks[t.slice : t.chunk+1] {
+		for _, w := range chunk {
+			var sum int32
+			for _, a := range j.acts {
+				sum += int32(a.Mag) << a.Shift
+				if !a.Last {
+					continue
+				}
+				v := int32(w.Mag) * sum
+				if w.Sign {
+					v = -v
+				}
+				sum = 0
+				xo, yo := core.OutCoord(int(w.X), int(w.Y), int(a.X), int(a.Y), kh, kw)
+				if xo >= 0 && xo < j.full.W && yo >= 0 && yo < j.full.H {
+					entries[int32(int(w.K)*j.full.H*j.full.W+core.OutAddr(xo, yo, j.tile.W, kw))] += v
+				}
+			}
+		}
+	}
+	return entries
+}
+
+// drainSlice ends the current slice: it checks the kernel's drain count and
+// pre-shifted banks against the slice's reference entries, adds them to the
+// job's reference banks with the slice shift, and returns their count.
+func (t *coreTile) drainSlice(shift uint8) int {
+	entries := t.sliceEntries()
+	var kernel energy.Counters
+	if n := t.s.drainBanks(&kernel); n != len(entries) {
+		t.fail("drains %d entries, reference %d", n, len(entries))
+	}
+	for idx, v := range entries {
+		t.ref[idx] += v << shift
+		if got := t.s.bank[idx]; got != t.ref[idx] {
+			t.fail("bank[%d] = %d, reference %d", idx, got, t.ref[idx])
+		}
+	}
+	t.slice = t.chunk + 1
+	return len(entries)
+}
+
+// endJob flushes the kernel's banks, checks them against the job's
+// reference banks and adds the reference banks to the spatial tile's
+// accumulator.
+func (t *coreTile) endJob() {
+	full := t.jobs[t.job].full
+	flushed := make([]int32, len(full.Data))
+	t.s.flush(flushed)
+	for idx, v := range flushed {
+		if want := t.ref[int32(idx)]; v != want {
+			t.fail("flushed bank[%d] = %d, reference %d", idx, v, want)
+		}
+	}
+	for idx, v := range t.ref {
+		full.Data[idx] += v
+	}
+	clear(t.ref)
+}
+
+// fail records the first disagreement between the kernel's banks and the
+// reference.
+func (t *coreTile) fail(format string, args ...any) {
+	if t.err == nil {
+		t.err = fmt.Errorf("job %d chunk %d: "+format, append([]any{t.job, t.chunk}, args...)...)
 	}
 }
 
@@ -209,27 +297,29 @@ func (t *coreTile) advanceChunk(res *CoreSimResult) {
 // FIFOs: it requests the output port for the bank drain if this is the last
 // chunk of its slice, and otherwise moves on.
 func (t *coreTile) chunkDone(res *CoreSimResult) {
-	s := t.s
 	shift := t.chunks[t.chunk][0].Shift
 	lastOfSlice := t.chunk == len(t.chunks)-1 || t.chunks[t.chunk+1][0].Shift != shift
 	if !lastOfSlice {
 		t.advanceChunk(res)
 		return
 	}
-	if len(s.touched) == 0 {
+	entries := t.drainSlice(shift)
+	if entries == 0 {
 		t.advanceChunk(res)
 		return
 	}
 	t.tc.emit("drain_start", t.job, t.chunk, "")
 	t.drainShift = shift
-	t.drainEntries = len(s.touched)
+	t.drainEntries = entries
 	t.drainLeft = (t.drainEntries + t.drainWidth - 1) / t.drainWidth
 	t.state = tileDraining
 }
 
 // lockstepTiles runs per-tile job lists through the global cycle loop: each
 // cycle steps tiles 0..M-1 in order with the output port free at the start.
-func lockstepTiles(jobs [][]tileJob, cfg CoreSimConfig) CoreSimResult {
+// The error reports the first tile whose kernel banks disagreed with its
+// reference banks.
+func lockstepTiles(jobs [][]tileJob, cfg CoreSimConfig) (CoreSimResult, error) {
 	res := CoreSimResult{TileBusy: make([]int64, len(jobs))}
 	cts := make([]*coreTile, len(jobs))
 	for g := range jobs {
@@ -255,17 +345,22 @@ func lockstepTiles(jobs [][]tileJob, cfg CoreSimConfig) CoreSimResult {
 			res.TileBusy[g] += ct.busy - before
 		}
 	}
-	return res
+	for g, ct := range cts {
+		if ct.err != nil {
+			return res, fmt.Errorf("compute tile %d %w", g, ct.err)
+		}
+	}
+	return res, nil
 }
 
 // simulateCoreLockstep is SimulateCore on the lockstep oracle: the stream
 // build, balancing and output assembly around lockstepTiles.
-func simulateCoreLockstep(f *tensor.FeatureMap, w *tensor.KernelStack, stride, pad int, cfg CoreSimConfig) CoreSimResult {
+func simulateCoreLockstep(f *tensor.FeatureMap, w *tensor.KernelStack, stride, pad int, cfg CoreSimConfig) (CoreSimResult, error) {
 	cfg = cfg.withDefaults()
 	tiles, jobs, fulls := lockstepLayer(f, w, cfg)
-	res := lockstepTiles(jobs, cfg)
+	res, err := lockstepTiles(jobs, cfg)
 	res.Output = assemble(tiles, fulls, f, w, stride, pad)
-	return res
+	return res, err
 }
 
 // coreCase is one layer and core shape for the schedule check.
@@ -320,7 +415,10 @@ func checkCoreSchedule(t *testing.T, tc coreCase) bool {
 	var got, want MemoryTracer
 	cfg := tc.cfg
 	cfg.Trace = &want
-	ref := simulateCoreLockstep(tc.f, tc.w, tc.stride, tc.pad, cfg)
+	ref, err := simulateCoreLockstep(tc.f, tc.w, tc.stride, tc.pad, cfg)
+	if err != nil {
+		t.Fatalf("%+v: %v", tc.cfg, err)
+	}
 	cfg.Trace = &got
 	res := SimulateCore(tc.f, tc.w, tc.stride, tc.pad, cfg)
 	if !res.Output.Equal(ref.Output) {
@@ -416,7 +514,10 @@ func TestTailCarryMatchesLockstep(t *testing.T) {
 			}
 			jobs = append(jobs, js)
 		}
-		ref := lockstepTiles(jobs, cfg)
+		ref, err := lockstepTiles(jobs, cfg)
+		if err != nil {
+			t.Fatalf("%d tiles: %v", tiles, err)
+		}
 		res.Output = nil
 		if !reflect.DeepEqual(res, ref) {
 			t.Fatalf("%d tiles:\nresult %+v\noracle %+v", tiles, res, ref)

@@ -30,8 +30,8 @@ func procs(n int) int { return max(1, min(runtime.GOMAXPROCS(0), maxProcs, n)) }
 // drawWeights fills codes with quantized weights drawn in stream order and
 // returns their magnitude histogram pruned to wDensity (quant.PruneHist)
 // with its threshold t and surplus. codes themselves stay unpruned:
-// quant.PruneAt(codes, t, surplus) prunes them, and Gen.tieCut finds the
-// index from which ties at t are pruned.
+// Gen.tieCut finds the index from which ties at t are pruned, and
+// quant.PruneCut prunes them at it.
 //
 // Only the walk through the random stream is serial. The caller's
 // goroutine draws the normals into chunks of chunk values, and whichever

@@ -209,6 +209,10 @@ func TestExactModeLockstep(t *testing.T) {
 			check("FeatureMap", g.FeatureMap(4, 11, 13, bits, 0.4), r.featureMap(4, 11, 13, bits, 0.4))
 			check("KernelsExact", g.KernelsExact(5, 3, 3, 3, bits, 1, 0.7, 0.5), r.kernelsExact(5, 3, 3, 3, bits, 1, 0.7, 0.5))
 			check("Kernels", g.Kernels(7, 6, 3, 3, bits, 0.45), r.kernels(7, 6, 3, 3, bits, 0.45))
+			// Over two chunks of weights, whose surplus ties at the threshold
+			// run past the first chunk: the tie cut is found through the
+			// per-chunk histograms.
+			check("Kernels over three chunks", g.Kernels(64, 64, 3, 3, bits, 0.3), r.kernels(64, 64, 3, 3, bits, 0.3))
 			check("SparseVector signed", g.SparseVector(301, bits, 0.4, true), r.sparseVector(301, bits, 0.4, true))
 			check("SparseVector unsigned", g.SparseVector(77, bits, 0.9, false), r.sparseVector(77, bits, 0.9, false))
 		}

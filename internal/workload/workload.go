@@ -170,8 +170,8 @@ func splitmix(x uint64) uint64 {
 // target density as PruneToDensity would.
 func (g *Gen) Kernels(k, c, kh, kw, bits int, wDensity float64) *tensor.KernelStack {
 	ks := tensor.NewKernelStack(k, c, kh, kw, bits)
-	_, t, surplus := g.drawWeights(ks.Data, bits, wDensity, chunkLen)
-	quant.PruneAt(ks.Data, t, surplus)
+	hist, t, surplus := g.drawWeights(ks.Data, bits, wDensity, chunkLen)
+	quant.PruneCut(ks.Data, t, g.tieCut(ks.Data, t, surplus, len(hist), chunkLen))
 	return ks
 }
 
