@@ -44,6 +44,7 @@ func Registry() []Benchmark {
 		{Name: "core/sim_serve_cold", Fn: benchCoreSimCold},
 		{Name: "core/act_stream_16x16", Fn: benchActStream},
 		{Name: "core/weight_stream_16k", Fn: benchWeightStream},
+		{Name: "core/weight_stream_serve", Fn: benchWeightStreamServe},
 		{Name: "atom/decompose_sweep_8b", Fn: benchAtomDecompose},
 		{Name: "workload/network_stats_alexnet", Fn: benchNetworkStats(model.AlexNet())},
 		{Name: "workload/network_stats_vgg16", Fn: benchNetworkStats(model.VGG16())},
@@ -186,6 +187,22 @@ func benchWeightStream(b *testing.B) {
 		ws := core.CompressWeights(core.FlattenKernels(w, 0, nil), 8, 2, false)
 		if len(ws) == 0 {
 			b.Fatal("empty stream")
+		}
+	}
+}
+
+// benchWeightStreamServe is the weight-stream build of one
+// core/sim_serve_layer op: every input channel's static stream of that
+// layer's kernel, built by one streamer into one reused buffer.
+func benchWeightStreamServe(b *testing.B) {
+	_, w, _ := serveLayer(b)
+	var ws core.WeightStreamer
+	var buf []core.WeightAtom
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		for c := 0; c < w.C; c++ {
+			buf = ws.AppendStream(buf[:0], w, c, 2, false)
 		}
 	}
 }

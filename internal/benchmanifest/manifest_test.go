@@ -142,6 +142,7 @@ func TestRegistryNamesStable(t *testing.T) {
 		"core/sim_serve_cold",
 		"core/act_stream_16x16",
 		"core/weight_stream_16k",
+		"core/weight_stream_serve",
 		"atom/decompose_sweep_8b",
 		"workload/network_stats_alexnet",
 		"workload/network_stats_vgg16",

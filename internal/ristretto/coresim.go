@@ -22,8 +22,9 @@ import (
 // accumulators. The modelled hardware still drains its banks at the end of
 // every weight slice and applies the slice's shift at aggregation; the
 // host adds each product already shifted, an identity modulo 2^32, counts
-// a drain's entries without moving them and flushes once per job (see
-// TileScratch). The two views differ only in what they charge on top:
+// a drain's entries without moving them and flushes a worker's banks only
+// when it moves to another spatial tile and once after its last channel
+// (see TileScratch). The two views differ only in what they charge on top:
 //
 //   - the tile view (SimulateConv, SimulateIntersectionScratch) sums each
 //     compute tile's job cycles with ping-pong overlap: every chunk of a
@@ -176,16 +177,22 @@ func newCorePass(cfg CoreSimConfig, channels, jobs int) *corePass {
 // job runs one job, acts against weights on spatial tile ti, through the
 // chain kernel chunk by chunk on scratch s. Each slice's drain asks the
 // output port for ⌈entries / DrainWidth⌉ cycles, its entries counted by
-// drainBanks; at the end the job's banks, pre-shifted, are flushed into
-// the spatial tile's accumulator full, holding mu unless it is nil (no
-// other goroutine flushes into full). The job is appended to its channel's
-// timeline tl and accounting sum. The stage cycles in sum leave
-// out the job's first static-stream load, which only the whole-core view
-// charges (Run). occ, when not nil, observes each slice's accumulate-bank
+// drainBanks. The job's pre-shifted sums stay in the banks, which then
+// hold sums for the spatial tile's accumulator full: a scratch that holds
+// another accumulator's first flushes into it, and the caller releases the
+// scratch after its last job. mu guards full against the other
+// goroutines' flushes, nil when none flushes into it. The job is appended
+// to its channel's timeline tl and accounting sum. The stage cycles in sum
+// leave out the job's first static-stream load, which only the whole-core
+// view charges (Run). occ, when not nil, observes each slice's accumulate-bank
 // occupancy; trace events are recorded when cfg.Trace is set.
 func (s *TileScratch) job(tl *timeline, sum *CoreSimResult, cfg *CoreSimConfig, occ *telemetry.Histogram, ti int, tile tensor.Tile, full *tensor.OutputMap, mu *sync.Mutex, acts []core.ActAtom, weights []core.WeightAtom) {
 	if len(acts) == 0 || len(weights) == 0 {
 		return
+	}
+	if s.held != full {
+		s.release()
+		s.held, s.heldMu = full, mu
 	}
 	trace := cfg.Trace != nil
 	if trace {
@@ -241,14 +248,6 @@ func (s *TileScratch) job(tl *timeline, sum *CoreSimResult, cfg *CoreSimConfig, 
 			tl.emit("drain_end", ti, ci, fmt.Sprintf("entries=%d shift=%d", entries, shift))
 		}
 	}
-	// Other channels flush into the same accumulator from other
-	// goroutines; int32 adds commute, so their order cannot change the
-	// output.
-	if mu != nil {
-		mu.Lock()
-		defer mu.Unlock()
-	}
-	s.flush(full.Data)
 }
 
 // finish stores channel c's timeline, balancing statistics and accounting
@@ -295,8 +294,11 @@ func PrepareCore(f *tensor.FeatureMap, w *tensor.KernelStack, stride, pad int, c
 // weight stream and its activation streams on the spatial tiles, keeping
 // zero values and zero atoms when dense is set (Ristretto-ns), runs the
 // channel's jobs through the chain kernel and records their untimed
-// timeline, with the trace events when cfg.Trace is set; the channel's
-// drains accumulate the layer's output. It panics when a spatial tile, the
+// timeline, with the trace events when cfg.Trace is set. Each worker's
+// banks accumulate the layer's output, flushed into a spatial tile's
+// accumulator when the worker moves to another tile and once after its
+// last channel; int32 adds commute, so the order of the flushes cannot
+// change the output. It panics when a spatial tile, the
 // kernel window or the output channels exceed what the atoms' fields hold.
 func prepare(f *tensor.FeatureMap, w *tensor.KernelStack, stride, pad int, cfg CoreSimConfig, dense bool) *CoreLayer {
 	cfg = cfg.withDefaults()
@@ -311,7 +313,7 @@ func prepare(f *tensor.FeatureMap, w *tensor.KernelStack, stride, pad int, cfg C
 			w.K, w.KW, w.KH, maxAtomChans, maxAtomCoord, maxAtomCoord))
 	}
 	fulls := accumulators(tiles, w)
-	mus := make([]sync.Mutex, len(tiles)) // [ti]: guards fulls[ti] against the other channels' drains
+	mus := make([]sync.Mutex, len(tiles)) // [ti]: guards fulls[ti] against the other workers' flushes
 	occ := occupancy()
 	p := newCorePass(cfg, f.C, len(tiles))
 	fanOut(f.C, func(s *TileScratch, c int) {

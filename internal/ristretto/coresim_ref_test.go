@@ -503,6 +503,7 @@ func TestTailCarryMatchesLockstep(t *testing.T) {
 			s.job(&tl, &sum, &cfg, nil, 0, tile, full, nil, acts, weights)
 			p.finish(c, tl, &sum, len(acts), len(weights))
 		}
+		s.release()
 		res := p.l.Run(tiles, balance.None)
 
 		cfg.Trace = &want

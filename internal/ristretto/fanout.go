@@ -8,8 +8,8 @@ import (
 
 // scratchPool keeps the fan-out workers' scratches between calls, so a
 // worker's buffers arrive already grown and the allocations of a call do
-// not grow with the worker count. Every run drains its banks, so a
-// returned scratch is clean.
+// not grow with the worker count. fanOut releases a scratch's banks before
+// it returns the scratch, so a pooled scratch is clean.
 var scratchPool = sync.Pool{New: func() any { return NewTileScratch() }}
 
 // fanOut runs fn for items 0..n-1 on at most runtime.GOMAXPROCS(0)
@@ -17,8 +17,10 @@ var scratchPool = sync.Pool{New: func() any { return NewTileScratch() }}
 // every item it claims. Items are claimed in ascending order but finish in
 // any order: fn must write only item-owned results, which the caller reads
 // after fanOut returns. With one worker everything runs on the caller's
-// goroutine. The caller takes the scratches from the pool and returns them,
-// so the next call on the same goroutine finds them.
+// goroutine. The caller takes the scratches from the pool and, once every
+// worker has returned, releases each one's banks into the accumulator
+// they hold (no worker is left to contend for its lock) and returns it,
+// so the next call on the same goroutine finds it.
 //
 // A panic in any worker stops the others from claiming further items and
 // is re-raised on the caller once they have all returned, so a recover
@@ -41,6 +43,7 @@ func fanOut(n int, fn func(s *TileScratch, i int)) {
 		panic(pval)
 	}
 	for _, s := range scratches {
+		s.release()
 		scratchPool.Put(s)
 	}
 }

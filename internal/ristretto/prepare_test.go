@@ -3,12 +3,16 @@ package ristretto_test
 import (
 	"fmt"
 	"reflect"
+	"runtime"
 	"slices"
 	"sync"
 	"testing"
 
 	"ristretto/internal/balance"
+	"ristretto/internal/refconv"
 	"ristretto/internal/ristretto"
+	"ristretto/internal/tensor"
+	"ristretto/internal/workload"
 )
 
 // splitCases are the layers of the prepare/run check: the golden cases,
@@ -103,6 +107,37 @@ func TestConcurrentRunsShareLayer(t *testing.T) {
 	for i, r := range got {
 		if sh := shapes[i%len(shapes)]; !reflect.DeepEqual(r, want[sh]) {
 			t.Fatalf("concurrent run %d (%+v): %+v, alone %+v", i, sh, r, want[sh])
+		}
+	}
+}
+
+// TestPreparedLayersShareScratches prepares two layers back to back, three
+// times over, at GOMAXPROCS 2, each with more input channels than
+// workers, so every pass takes the scratches the one before it pooled.
+// One layer is a single spatial tile, where a worker's banks are flushed
+// once, after its last channel; the other has 3×2 spatial tiles, where
+// they are flushed whenever the worker moves to another tile. Both outputs
+// must equal refconv's: a scratch pooled with unflushed banks, or banks
+// flushed twice, would break that.
+func TestPreparedLayersShareScratches(t *testing.T) {
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(2))
+	g := workload.NewGen(61)
+	tile := ristretto.TileConfig{Mults: 8, Gran: 2}
+	layers := []struct {
+		name string
+		f    *tensor.FeatureMap
+		w    *tensor.KernelStack
+		cfg  ristretto.CoreSimConfig
+	}{
+		{"one_tile", g.FeatureMap(7, 6, 6, 8, 0.6), g.Kernels(5, 7, 3, 3, 8, 0.6), ristretto.CoreSimConfig{Tile: tile}},
+		{"3x2_tiles", g.FeatureMap(5, 8, 7, 8, 0.6), g.Kernels(9, 5, 3, 3, 4, 0.5), ristretto.CoreSimConfig{Tile: tile, TileW: 3, TileH: 2}},
+	}
+	for pass := range 3 {
+		for _, l := range layers {
+			got := ristretto.PrepareCore(l.f, l.w, 1, 1, l.cfg).Run(4, balance.WeightAct)
+			if !got.Output.Equal(refconv.Conv(l.f, l.w, 1, 1)) {
+				t.Fatalf("pass %d, %s: output differs from refconv", pass, l.name)
+			}
 		}
 	}
 }

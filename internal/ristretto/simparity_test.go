@@ -126,7 +126,9 @@ func runSingleJob(job tileJob, cfg TileConfig, loadWidth, drainWidth int) CoreSi
 	p := newCorePass(ccfg, 1, 1)
 	var tl timeline
 	var sum CoreSimResult
-	NewTileScratch().job(&tl, &sum, &ccfg, nil, 0, job.tile, job.full, nil, job.acts, job.weights)
+	s := NewTileScratch()
+	s.job(&tl, &sum, &ccfg, nil, 0, job.tile, job.full, nil, job.acts, job.weights)
+	s.release()
 	p.finish(0, tl, &sum, len(job.acts), len(job.weights))
 	return p.l.Run(1, balance.None)
 }

@@ -9,6 +9,7 @@ package ristretto
 import (
 	"fmt"
 	"math/bits"
+	"sync"
 
 	"ristretto/internal/atom"
 	"ristretto/internal/core"
@@ -105,14 +106,18 @@ type lastAtom struct {
 // The modelled hardware drains its banks at the end of every weight slice
 // and shifts them there. The host adds each product already shifted,
 // (mag<<shift)·sum, which equals the drained (Σ val)<<shift modulo 2^32: a
-// slice's drain only counts its entries (drainBanks), and the banks reach
-// the spatial tile's accumulator once per job (flush).
+// slice's drain only counts its entries (drainBanks), and the banks keep
+// their sums across the jobs a scratch runs on one spatial tile. They
+// reach that tile's accumulator (held) when the scratch's next job is on
+// another tile, or when the run ends (release).
 //
-// Invariant between runs: bank, marks and jobK are all-zero (every run
-// drains and flushes fully), so re-use needs no explicit clearing. A
-// scratch also carries the temporaries of the weight-stream build and the
-// per-channel pass's stream and drain buffers, so the fan-out's workers
-// allocate only what they return.
+// Invariant between slices: marks is all-zero. Invariant between runs:
+// bank and jobK are all-zero and held is nil, so re-use needs no explicit
+// clearing: the per-channel pass releases each worker's scratch once its
+// workers have returned (fanOut), and SimulateIntersectionScratch releases
+// its scratch after its one job. A scratch also carries the temporaries of
+// the weight-stream build and the per-channel pass's stream and drain
+// buffers, so the fan-out's workers allocate only what they return.
 type TileScratch struct {
 	chunks   [][]core.WeightAtom // slice-aligned static-stream chunks
 	lasts    []lastAtom          // the job's Last atoms in stream order
@@ -121,12 +126,15 @@ type TileScratch struct {
 	live     []uint64   // bitmask over slots: FIFO holds a delivery
 	busy     int        // FIFOs holding a delivery
 	full     int        // FIFOs holding depth deliveries (the chain stalls)
-	bank     []int32    // dense accumulate banks, image of the out buffer: the job's pre-shifted sums
+	bank     []int32    // dense accumulate banks, image of held: the pre-shifted sums of the jobs since the last flush
 	marks    []uint64   // [k*pw:(k+1)*pw]: the plane positions of channel k's banks the slice wrote
-	jobK     []uint64   // bitset over output channels: the job wrote the channel's banks
+	jobK     []uint64   // bitset over output channels: a job since the last flush wrote the channel's banks
 	lastSet  []uint64   // the Eq. 2 addresses of the job's Last atoms, a bitset over the plane
 	written  []uint64   // per-cycle crossbar bank bitmask, indexed by output channel
 	writtenK []uint16   // channels written this cycle, for sparse clearing
+
+	held   *tensor.OutputMap // the accumulator bank images, nil when the banks are clear
+	heldMu *sync.Mutex       // guards held against other goroutines' flushes, nil when none flushes into it
 
 	streamer core.WeightStreamer // the per-channel pass's stream-build temporaries
 
@@ -488,8 +496,8 @@ func orShifted(dst, src []uint64, off int) {
 // drainBanks ends a weight slice: it returns the number of accumulate-bank
 // entries the modelled hardware drains through the output port, the
 // distinct bank positions the slice's deliveries wrote, and clears their
-// marks, recording which channels the job wrote. The values stay in the
-// banks, already shifted, until the job's flush. Traffic accounting (4 B
+// marks, recording which channels it wrote. The values stay in the banks,
+// already shifted, until the scratch flushes them. Traffic accounting (4 B
 // accumulate-buffer read + 4 B output-buffer write per entry, the unified
 // convention of both simulators) lands in acc.
 func (s *TileScratch) drainBanks(acc *energy.Counters) int {
@@ -510,7 +518,7 @@ func (s *TileScratch) drainBanks(acc *energy.Counters) int {
 	return n
 }
 
-// flush ends a job: it adds the banks of every channel the job wrote into
+// flush adds the banks of every channel written since the last flush into
 // dst, the accumulator they image, and clears them.
 func (s *TileScratch) flush(dst []int32) {
 	plane := int(s.plane)
@@ -526,6 +534,20 @@ func (s *TileScratch) flush(dst []int32) {
 		}
 		s.jobK[wi] = 0
 	}
+}
+
+// release flushes the banks into the accumulator they hold sums for, if
+// any, holding its lock if it has one.
+func (s *TileScratch) release() {
+	if s.held == nil {
+		return
+	}
+	if s.heldMu != nil {
+		s.heldMu.Lock()
+		defer s.heldMu.Unlock()
+	}
+	s.flush(s.held.Data)
+	s.held, s.heldMu = nil, nil
 }
 
 // SimulateIntersectionScratch runs one (input channel, spatial tile)
@@ -553,6 +575,7 @@ func SimulateIntersectionScratch(acts []core.ActAtom, weights []core.WeightAtom,
 	tl := timeline{drains: s.drains[:0]}
 	var sum CoreSimResult
 	s.job(&tl, &sum, &ccfg, occupancy(), 0, tensor.Tile{W: tileW, H: tileH}, out, nil, acts, weights)
+	s.release()
 	s.drains = tl.drains
 	telemetry.Default.AddStageCycles(sum.Stages)
 	return TileResult{Cycles: tl.cycles, StallCycles: sum.Stalls, Products: sum.Products, Deliveries: sum.Deliveries,
