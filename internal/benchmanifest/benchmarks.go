@@ -49,6 +49,7 @@ func Registry() []Benchmark {
 		{Name: "workload/network_stats_alexnet", Fn: benchNetworkStats(model.AlexNet())},
 		{Name: "workload/network_stats_vgg16", Fn: benchNetworkStats(model.VGG16())},
 		{Name: "workload/network_stats_resnet50", Fn: benchNetworkStats(model.ResNet50())},
+		{Name: "workload/layer_operands_serve", Fn: benchLayerOperandsServe},
 	}
 }
 
@@ -149,14 +150,36 @@ func benchCoreSimCold(b *testing.B) {
 // serveLayer draws the operands of the daemon's default /v1/sim layer,
 // ResNet-18 conv4_2 at 4 bits and scale 16, the way the daemon draws them.
 func serveLayer(b *testing.B) (*tensor.FeatureMap, *tensor.KernelStack, model.Layer) {
+	l, draw := serveDraw(b)
+	f, w := draw()
+	return f, w, l
+}
+
+// serveDraw returns the daemon's default /v1/sim layer and a function that
+// draws its operands from a fresh generator.
+func serveDraw(b *testing.B) (model.Layer, func() (*tensor.FeatureMap, *tensor.KernelStack)) {
 	n := model.ResNet18()
 	l, err := experiments.NewQuickBench(1, 16).Scaled(n).Layer("conv4_2")
 	if err != nil {
 		b.Fatal(err)
 	}
-	g := workload.NewGen(workload.DeriveSeed(1, "serve-sim", n.Name, l.Name, "4b"))
-	f, w := g.LayerOperands(l, 4, 4, workload.EvalTargets(n.Name, 4, 4))
-	return f, w, l
+	seed := workload.DeriveSeed(1, "serve-sim", n.Name, l.Name, "4b")
+	t := workload.EvalTargets(n.Name, 4, 4)
+	return l, func() (*tensor.FeatureMap, *tensor.KernelStack) {
+		return workload.NewGen(seed).LayerOperands(l, 4, 4, t)
+	}
+}
+
+// benchLayerOperandsServe is the operand draw alone of a cold /v1/sim
+// request on the core/sim_serve_layer layer, which core/sim_serve_cold
+// times together with the simulation.
+func benchLayerOperandsServe(b *testing.B) {
+	_, draw := serveDraw(b)
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		draw()
+	}
 }
 
 // benchActStream measures building one tile's compressed activation atom

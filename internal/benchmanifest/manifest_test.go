@@ -147,6 +147,7 @@ func TestRegistryNamesStable(t *testing.T) {
 		"workload/network_stats_alexnet",
 		"workload/network_stats_vgg16",
 		"workload/network_stats_resnet50",
+		"workload/layer_operands_serve",
 	}
 	reg := Registry()
 	if len(reg) != len(want) {

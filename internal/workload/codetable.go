@@ -1,0 +1,186 @@
+package workload
+
+import (
+	"math"
+	"math/bits"
+	"sync"
+
+	"ristretto/internal/atom"
+	"ristretto/internal/quant"
+)
+
+// A codeTable codes fast draws (ziggurat.go) for one default quantizer
+// without a float operation. A fast draw j of strip k = j&0x7f stands for
+// the normal float64(j)*float64(wn[k]), and its code is exact from the
+// table for three reasons:
+//
+//   - for a = |j|, the magnitude Code(float64(a)*float64(wn[k])) never
+//     decreases as a grows, as the product, the division by the positive
+//     step, the clamp and the rounding all keep order;
+//   - signed codes are odd in j: negating v negates v/scale exactly, and
+//     the clamp and the rounding are symmetric;
+//   - unsigned codes are 0 for every j <= 0.
+//
+// So the table keeps, per strip, the magnitude over |j| in 1<<bb buckets of
+// 1<<shift values each: its value at the bucket's first |j|, and the |j|
+// where it steps up by one, if it does. A bucket whose magnitude steps more
+// than once is marked, and its draws are coded through Code.
+type codeTable struct {
+	q     quant.Quantizer
+	shift uint     // a bucket holds 1<<shift values of |j|
+	bb    uint     // 1<<bb buckets per strip
+	neg   int32    // -1 if negative draws code to 0 (unsigned), else 0
+	e     []uint32 // strip k's bucket b at k<<bb | b
+}
+
+// An unmarked entry is base<<shift + (1<<shift - off): base is the
+// magnitude at the bucket's first |j|, lo, and lo+off the |j| where it
+// steps to base+1 (off = 1<<shift if it does not), so that
+// (e + |j| - lo) >> shift is the magnitude at |j|. marked is never such an
+// entry, as base+2 <= 1<<(32-shift) for each of them.
+const marked = ^uint32(0)
+
+// maxBucketBits caps the buckets per strip at 256: enough for every
+// bucket of the tables at 8 bits or fewer to step at most once, and 128 KB
+// per table.
+const maxBucketBits = 8
+
+// code writes the codes of d's draws to out and counts their magnitudes in
+// hist. The draws the table does not code, slow ones and those in marked
+// buckets, go through Code.
+func (t *codeTable) code(out []int32, hist []int, d *draws) {
+	js, slow := d.js, d.slow
+	out = out[:len(js)]
+	for i := 0; ; i++ {
+		i += t.run(out[i:], hist, js[i:])
+		if i == len(js) {
+			return
+		}
+		var c int32
+		if j := js[i]; j == slowDraw {
+			c, slow = t.q.Code(slow[0]), slow[1:]
+		} else {
+			c = t.q.Code(float64(j) * float64(wn[j&0x7f]))
+		}
+		out[i] = c
+		hist[atom.Magnitude(c)]++
+	}
+}
+
+// run codes the draws of js into out and hist until one that the table
+// does not code, and returns how many it coded. It makes no call, so the
+// loop keeps its values in registers.
+func (t *codeTable) run(out []int32, hist []int, js []int32) int {
+	e, shift, neg := t.e, t.shift&31, t.neg // &31: t.shift <= 31, and the shifts need no range check
+	mask := uint32(1)<<shift - 1
+	out = out[:len(js)]
+	for i, j := range js {
+		sgn := j >> 31
+		a := uint32((j ^ sgn) - sgn) // |j|, and 1<<31 for slowDraw
+		// k<<bb | a>>shift, in range for slowDraw too: strip 1's first bucket
+		v := e[(uint64(j&0x7f)<<31|uint64(a))>>shift]
+		if v == marked || j == slowDraw {
+			return i
+		}
+		m := int32((v+a&mask)>>shift) &^ (sgn & neg)
+		out[i] = (m ^ sgn) - sgn
+		hist[m]++
+	}
+	return len(js)
+}
+
+// The code tables of the default quantizers, built on first use and then
+// read-only: weights' (signed) in [0], activations' (unsigned) in [1],
+// indexed by bit-width.
+var tables [2][17]struct {
+	once sync.Once
+	t    *codeTable
+}
+
+// weightTable and actTable return the code tables of weightQuantizer(bits)
+// and actQuantizer(bits).
+func weightTable(bits int) *codeTable { return table(0, bits, weightQuantizer) }
+func actTable(bits int) *codeTable    { return table(1, bits, actQuantizer) }
+
+func table(kind, bits int, q func(int) quant.Quantizer) *codeTable {
+	s := &tables[kind][bits]
+	s.once.Do(func() { s.t = newCodeTable(q(bits), kind == 1) })
+	return s.t
+}
+
+// newCodeTable builds q's table. It finds by bisection on Code the least
+// x >= 0 that codes to 1, x1; as q is uniform, magnitude m then begins near
+// x = (2m-1)*x1, so in strip k near |j| = x/wn[k], and each step placed
+// there is moved to where Code says it is. The buckets are the fewest that
+// hold at most one step each, up to 1<<maxBucketBits.
+func newCodeTable(q quant.Quantizer, unsigned bool) *codeTable {
+	const top = 1 << 31 // past every |j|
+	mag := func(a uint64, k int) int32 { return q.Code(float64(a) * float64(wn[k])) }
+	lo, hi := uint64(0), math.Float64bits(math.Inf(1)) // Code(0) < 1 <= Code(+Inf)
+	for hi-lo > 1 {
+		if mid := lo + (hi-lo)/2; q.Code(math.Float64frombits(mid)) >= 1 {
+			hi = mid
+		} else {
+			lo = mid
+		}
+	}
+	x1 := math.Float64frombits(hi)
+	// step returns the least |j| of strip k whose magnitude is m or more,
+	// or top if there is none.
+	step := func(m int32, k int) uint64 {
+		if int(m) > q.MaxCode() {
+			return top
+		}
+		a := uint64(min(math.Ceil(float64(2*m-1)*x1/float64(wn[k])), top))
+		for a > 0 && mag(a-1, k) >= m {
+			a--
+		}
+		for a < top && mag(a, k) < m {
+			a++
+		}
+		return a
+	}
+
+	// The widest buckets in which no two successive steps of a strip meet.
+	s := 31
+	for k := range wn {
+		prev := step(1, k)
+		for m := int32(2); prev < top && s > 31-maxBucketBits; m++ {
+			a := step(m, k)
+			if a < top {
+				s = min(s, bits.Len64(prev^a)-1) // -1 if they coincide
+			}
+			prev = a
+		}
+	}
+	shift := uint(max(s, 31-maxBucketBits))
+
+	t := &codeTable{q: q, shift: shift, bb: 31 - shift, e: make([]uint32, len(wn)<<(31-shift))}
+	if unsigned {
+		t.neg = -1
+	}
+	width := uint64(1) << shift
+	for k := range wn {
+		m, next := int32(1), step(1, k) // next: where magnitude m begins
+		for b := range uint64(1) << t.bb {
+			lo := b << shift
+			if next <= lo {
+				m = mag(lo, k) + 1
+				next = step(m, k)
+			}
+			base := uint64(m - 1) // the magnitude at lo
+			e := &t.e[uint64(k)<<t.bb|b]
+			if base+2 > 1<<(32-shift) {
+				*e = marked
+			} else if next >= lo+width { // no step in the bucket
+				*e = uint32(base << shift)
+			} else if after := step(m+1, k); after >= lo+width { // one step
+				*e = uint32(base<<shift + width - (next - lo))
+				m, next = m+1, after
+			} else {
+				*e = marked
+			}
+		}
+	}
+	return t
+}

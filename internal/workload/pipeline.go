@@ -5,12 +5,11 @@ import (
 	"sync"
 	"sync/atomic"
 
-	"ristretto/internal/atom"
 	"ristretto/internal/quant"
 )
 
 const (
-	// chunkLen is how many normals the weight pipeline hands a worker at
+	// chunkLen is how many draws the weight pipeline hands a worker at
 	// once: large enough that the channel operations per chunk vanish,
 	// small enough that the chunk buffers stay in cache.
 	chunkLen = 1 << 14
@@ -34,27 +33,22 @@ func procs(n int) int { return max(1, min(runtime.GOMAXPROCS(0), maxProcs, n)) }
 // quant.PruneCut prunes them at it.
 //
 // Only the walk through the random stream is serial. The caller's
-// goroutine draws the normals into chunks of chunk values, and whichever
-// pipeline goroutine takes a chunk quantizes it into its span of codes and
-// into its own histogram in the generator's per-chunk slab, which
-// Gen.tieCut reads back. The codes and the histogram do not depend on the
-// goroutine count.
+// goroutine draws the records of chunk values at a time, and whichever
+// pipeline goroutine takes a chunk codes it through the weight code table
+// into its span of codes and into its own histogram in the generator's
+// per-chunk slab, which Gen.tieCut reads back. The codes and the histogram
+// do not depend on the goroutine count.
 func (g *Gen) drawWeights(codes []int32, bits int, wDensity float64, chunk int) (hist []int, t, surplus int) {
-	q := weightQuantizer(bits)
-	nh := q.MaxCode() + 1
-	chunks := (len(codes) + chunk - 1) / chunk
-	hists := g.chunkHists(chunks * nh)
-	g.pipeline(len(codes), chunk, procs(chunks), func(i int, xs []float64) {
-		out, h := codes[i*chunk:][:len(xs)], hists[i*nh:][:nh]
-		for j, x := range xs {
-			v := q.Code(x)
-			out[j] = v
-			h[atom.Magnitude(v)]++
-		}
+	tab := weightTable(bits)
+	nh := tab.q.MaxCode() + 1
+	chunks, stride := (len(codes)+chunk-1)/chunk, histStride(nh)
+	hists := g.chunkHists(chunks * stride)
+	g.pipeline(len(codes), chunk, procs(chunks), func(i int, d *draws) {
+		tab.code(codes[i*chunk:], hists[i*stride:][:nh], d)
 	})
 	hist = make([]int, nh)
 	for i := 0; i < chunks; i++ {
-		for m, n := range hists[i*nh:][:nh] {
+		for m, n := range hists[i*stride:][:nh] {
 			hist[m] += n
 		}
 	}
@@ -71,7 +65,7 @@ func (g *Gen) tieCut(codes []int32, t, surplus, nh, chunk int) int {
 		return 0
 	}
 	for i := 0; ; i++ {
-		ties := g.hists[i*nh+t]
+		ties := g.hists[i*histStride(nh)+t]
 		if surplus > ties {
 			surplus -= ties
 			continue
@@ -81,8 +75,8 @@ func (g *Gen) tieCut(codes []int32, t, surplus, nh, chunk int) int {
 	}
 }
 
-// pipeline draws n normals in stream order on the caller's goroutine, in
-// chunks of chunk values, and calls work(i, xs) for chunk i on one of
+// pipeline draws n values in stream order on the caller's goroutine, in
+// chunks of chunk draw records, and calls work(i, d) for chunk i on one of
 // `ways` goroutines: ways-1 workers, and the caller itself whenever every
 // chunk buffer is full, so the producer never idles while the workers lag.
 // work must write only chunk-owned results, which the caller reads after
@@ -93,17 +87,19 @@ func (g *Gen) tieCut(codes []int32, t, surplus, nh, chunk int) int {
 // every worker has returned, as ristretto's tile fan-out does, so a
 // recover envelope around the caller (runner's per-cell one) still sees
 // it. No goroutine outlives the call.
-func (g *Gen) pipeline(n, chunk, ways int, work func(i int, xs []float64)) {
+func (g *Gen) pipeline(n, chunk, ways int, work func(i int, d *draws)) {
 	if ways <= 1 {
-		g.eachNormal(n, chunk, work)
+		for i := 0; i*chunk < n; i++ {
+			work(i, g.next(0, min(chunk, n-i*chunk)))
+		}
 		return
 	}
 	type job struct {
-		i  int
-		xs []float64
+		i int
+		d *draws
 	}
 	// Both channels hold every buffer at once, so no send blocks.
-	free := make(chan []float64, ways+1)
+	free := make(chan *draws, ways+1)
 	jobs := make(chan job, ways+1)
 	for b := range ways + 1 {
 		free <- g.chunkBuf(b, chunk)
@@ -114,9 +110,9 @@ func (g *Gen) pipeline(n, chunk, ways int, work func(i int, xs []float64)) {
 	)
 	do := func(j job) {
 		if !pg.stopped() {
-			pg.run(func() { work(j.i, j.xs) })
+			pg.run(func() { work(j.i, j.d) })
 		}
-		free <- j.xs
+		free <- j.d
 	}
 	wg.Add(ways - 1)
 	for range ways - 1 {
@@ -128,20 +124,20 @@ func (g *Gen) pipeline(n, chunk, ways int, work func(i int, xs []float64)) {
 		}()
 	}
 	for i := 0; i*chunk < n && !pg.stopped(); {
-		var xs []float64
+		var d *draws
 		select {
-		case xs = <-free:
+		case d = <-free:
 		default: // every buffer is full or being worked: work one meanwhile
 			select {
-			case xs = <-free:
+			case d = <-free:
 			case j := <-jobs:
 				do(j)
 				continue
 			}
 		}
-		xs = xs[:min(chunk, n-i*chunk)]
-		g.src.normals(xs, g.rng)
-		jobs <- job{i, xs}
+		d.js = d.js[:min(chunk, n-i*chunk)]
+		g.src.normals(d)
+		jobs <- job{i, d}
 		i++
 	}
 	close(jobs)
@@ -152,16 +148,26 @@ func (g *Gen) pipeline(n, chunk, ways int, work func(i int, xs []float64)) {
 	pg.reraise()
 }
 
-// eachNormal draws n normals in stream order, chunk values at a time, and
-// calls fn(i, xs) with chunk i on the caller's goroutine.
-func (g *Gen) eachNormal(n, chunk int, fn func(i int, xs []float64)) {
-	buf := g.chunkBuf(0, min(chunk, n))
-	for i := 0; i*chunk < n; i++ {
-		xs := buf[:min(chunk, n-i*chunk)]
-		g.src.normals(xs, g.rng)
-		fn(i, xs)
+// next fills the generator's chunk buffer b with the records of the next n
+// draws and returns it.
+func (g *Gen) next(b, n int) *draws {
+	d := g.chunkBuf(b, n)
+	g.src.normals(d)
+	return d
+}
+
+// drawCodes draws len(out) values on the caller's goroutine, a chunk at a
+// time, and codes them through tab into out and hist.
+func (g *Gen) drawCodes(out []int32, hist []int, tab *codeTable) {
+	for lo := 0; lo < len(out); lo += chunkLen {
+		tab.code(out[lo:], hist, g.next(0, min(chunkLen, len(out)-lo)))
 	}
 }
+
+// histStride is how far apart the per-chunk histograms of nh buckets lie in
+// the slab: a cache line of padding apart, so that goroutines counting
+// neighbouring chunks never write one line.
+func histStride(nh int) int { return nh + 8 }
 
 // chunkHists returns the generator's per-chunk histogram slab at length n,
 // zeroed, growing it when it is shorter.
@@ -174,15 +180,16 @@ func (g *Gen) chunkHists(n int) []int {
 	return h
 }
 
-// chunkBuf returns the generator's chunk buffer b with room for n normals.
-func (g *Gen) chunkBuf(b, n int) []float64 {
-	for len(g.bufs) <= b {
-		g.bufs = append(g.bufs, nil)
+// chunkBuf returns the generator's chunk buffer b with room for n records.
+func (g *Gen) chunkBuf(b, n int) *draws {
+	d := &g.bufs[b]
+	if cap(d.js) < n {
+		// slow has room for a sixteenth of the draws, over twice the share
+		// that is slow, so it seldom grows.
+		d.js, d.slow = make([]int32, n), make([]float64, 0, n/16+1)
 	}
-	if cap(g.bufs[b]) < n {
-		g.bufs[b] = make([]float64, n)
-	}
-	return g.bufs[b][:n]
+	d.js = d.js[:n]
+	return d
 }
 
 // fanOut runs fn(w) for w in [0, n): fn(0) on the caller's goroutine and

@@ -104,6 +104,7 @@ func checkDrawWeights(t *testing.T, seed int64, l model.Layer, bits int, wDensit
 // of exactly one, and of k chunks ± 1, and requires the cases to cover
 // every pruning shape: nothing pruned (t = 0), a threshold without ties
 // kept (surplus = 0), and the surplus-th tie first or last in its chunk.
+// The 12- and 16-bit draws go through marked buckets of the code table.
 func TestDrawWeightsMatchesSerial(t *testing.T) {
 	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(0))
 	var noPrune, noTies, tieFirst, tieLast bool
@@ -119,7 +120,7 @@ func TestDrawWeightsMatchesSerial(t *testing.T) {
 			}
 			for _, l := range layers {
 				for _, d := range []float64{1, 0.9, 0.45, 0.1, 0} {
-					for _, bits := range []int{2, 4, 8} {
+					for _, bits := range []int{2, 4, 8, 12, 16} {
 						seed++
 						p := checkDrawWeights(t, seed, l, bits, d, atom.Granularity(1+seed%3), chunk)
 						noPrune = noPrune || p.t == 0
@@ -160,7 +161,7 @@ func FuzzDrawWeights(f *testing.F) {
 func TestPipelinePanicReachesCaller(t *testing.T) {
 	runs := map[string]func(workers int){
 		"pipeline": func(workers int) {
-			NewGen(1).pipeline(100, 7, workers, func(i int, _ []float64) {
+			NewGen(1).pipeline(100, 7, workers, func(i int, _ *draws) {
 				if i == 5 {
 					panic("worker failed")
 				}

@@ -53,22 +53,20 @@ func StatsFromTensors(l model.Layer, f *tensor.FeatureMap, k *tensor.KernelStack
 
 // LayerStats draws a layer's operands exactly as LayerOperands does and
 // measures them as StatsFromTensors would, without materializing them:
-// each activation plane is drawn straight into a magnitude histogram and
-// pruned there, and the weight codes go into a scratch buffer the generator
-// reuses across layers, where the meter reads them through the pruning
-// threshold instead of pruning them. The booth flag selects NAF (true) or
-// popcount term counting for the bit-serial histograms.
+// each activation plane is coded into a scratch buffer the generator
+// reuses across layers, and its magnitude histogram is pruned instead of
+// the plane; the weight codes then go into the same scratch, where the
+// meter reads them through the pruning threshold instead of pruning them.
+// The booth flag selects NAF (true) or popcount term counting for the
+// bit-serial histograms.
 func (g *Gen) LayerStats(l model.Layer, wbits, abits int, gran atom.Granularity, t Targets, booth bool) LayerStats {
 	m := newMeter(l, wbits, abits, gran)
-	aq := actQuantizer(abits)
-	hist := make([]int, aq.MaxCode()+1)
+	tab := actTable(abits)
+	hist := make([]int, tab.q.MaxCode()+1)
+	plane := g.scratch(l.H * l.W)
 	for c := 0; c < l.C; c++ {
 		clear(hist)
-		g.eachNormal(l.H*l.W, chunkLen, func(_ int, xs []float64) {
-			for _, x := range xs {
-				hist[aq.Code(x)]++
-			}
-		})
+		g.drawCodes(plane, hist, tab)
 		quant.PruneHist(hist, planeDensity(t.ADensity, c))
 		m.plane(c, hist)
 	}
@@ -79,8 +77,8 @@ func (g *Gen) LayerStats(l model.Layer, wbits, abits int, gran atom.Granularity,
 	return m.finish(booth)
 }
 
-// scratch returns the generator's weight scratch at length n, growing it
-// when it is shorter.
+// scratch returns the generator's scratch at length n, growing it when it
+// is shorter.
 func (g *Gen) scratch(n int) []int32 {
 	if cap(g.codes) < n {
 		g.codes = make([]int32, n)
@@ -92,13 +90,13 @@ func (g *Gen) scratch(n int) []int32 {
 // precision assignment.
 func (g *Gen) NetworkStats(n *model.Network, p model.Precision, gran atom.Granularity, booth bool) []LayerStats {
 	out := make([]LayerStats, len(n.Layers))
-	// Size the weight scratch and the per-chunk histograms once, at full
-	// size: growing them layer by layer leaves garbage.
+	// Size the scratch and the per-chunk histograms once, at full size:
+	// growing them layer by layer leaves garbage.
 	most, slab := 0, 0
 	for i, l := range n.Layers {
 		w := int(l.Weights())
-		most = max(most, w)
-		slab = max(slab, (w+chunkLen-1)/chunkLen*(weightQuantizer(p.WBits[i]).MaxCode()+1))
+		most = max(most, w, l.H*l.W)
+		slab = max(slab, (w+chunkLen-1)/chunkLen*histStride(weightQuantizer(p.WBits[i]).MaxCode()+1))
 	}
 	g.scratch(most)
 	g.chunkHists(slab)

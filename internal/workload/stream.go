@@ -17,7 +17,7 @@ const (
 // standard library's source does, so a rand.Rand over it (Gen.rng) draws
 // the same Float64, Intn and NormFloat64 values.
 type source struct {
-	tap, feed int // ring positions of x[n-rngLen] and x[n-rngTap]
+	tap, feed int // ring slots of x[n-rngTap] and x[n-rngLen] for the next x[n]
 	vec       [rngLen]int64
 }
 
@@ -31,43 +31,44 @@ func newSource(seed int64) *source {
 // Seed puts s in the state rand.NewSource(seed) starts in. The standard
 // library seeds its ring from a table of cooked values; rather than copy
 // the table, Seed back-solves the ring from that source's first rngLen
-// outputs. Step n (0-based) writes y[n] = ring[feed] + ring[tap] into slot
-// feed = (rngLen-rngTap-1-n) mod rngLen, reading slot tap = rngLen-1-n,
-// which step n-rngTap wrote when n >= rngTap. So the starting ring is
-// ring[feed(n)] = y[n] - y[n-rngTap] for n >= rngTap, and, for n < rngTap,
-// y[n] minus the starting value of slot rngLen-1-n, which is feed(n+rngLen-rngTap)
-// and so already solved. Arithmetic wraps, as the generator's does.
+// outputs. The ring here walks upwards, the standard library's downwards:
+// step n (0-based) writes y[n] = ring[feed] + ring[tap] into slot
+// feed = (n+rngTap) mod rngLen, reading slot tap = n mod rngLen, which step
+// n-rngTap wrote when n >= rngTap. So the starting ring is
+// ring[(n+rngTap) mod rngLen] = y[n] - y[n-rngTap] for n >= rngTap, and,
+// for n < rngTap, ring[n+rngTap] = y[n] minus the starting value of slot
+// n, which is the slot of step n+rngLen-rngTap and so already solved.
+// Arithmetic wraps, as the generator's does.
 func (s *source) Seed(seed int64) {
 	ref := rand.NewSource(seed).(rand.Source64)
 	var y [rngLen]int64
 	for n := range y {
 		y[n] = int64(ref.Uint64())
 	}
-	feed := func(n int) int { return (2*rngLen - rngTap - 1 - n) % rngLen }
 	for n := rngTap; n < rngLen; n++ {
-		s.vec[feed(n)] = y[n] - y[n-rngTap]
+		s.vec[(n+rngTap)%rngLen] = y[n] - y[n-rngTap]
 	}
 	for n := 0; n < rngTap; n++ {
-		s.vec[feed(n)] = y[n] - s.vec[rngLen-1-n]
+		s.vec[n+rngTap] = y[n] - s.vec[n]
 	}
-	s.tap, s.feed = 0, rngLen-rngTap
+	s.tap, s.feed = 0, rngTap
 }
 
 // Uint64 returns the next value of the stream.
 func (s *source) Uint64() uint64 {
-	s.tap, s.feed = prev(s.tap), prev(s.feed)
 	x := s.vec[s.feed] + s.vec[s.tap]
 	s.vec[s.feed] = x
+	s.tap, s.feed = next(s.tap), next(s.feed)
 	return uint64(x)
 }
 
 // Int63 returns the next value of the stream without its top bit.
 func (s *source) Int63() int64 { return int64(s.Uint64() & (1<<63 - 1)) }
 
-// prev is the ring position before i.
-func prev(i int) int {
-	if i--; i < 0 {
-		i += rngLen
+// next is the ring slot after i.
+func next(i int) int {
+	if i++; i == rngLen {
+		i = 0
 	}
 	return i
 }

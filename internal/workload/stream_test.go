@@ -65,15 +65,17 @@ func (c *countingSource) Uint64() uint64 { c.n++; return c.Source64.Uint64() }
 // (more than one value consumed, no tail).
 func TestNormalsMatchStdlib(t *testing.T) {
 	const rn = 3.442619855899 // math/rand's tail start
-	buf := make([]float64, 1000)
+	buf, js := make([]float64, 1000), make([]int32, 1000)
 	for _, seed := range streamSeeds {
 		cs := &countingSource{Source64: rand.NewSource(seed).(rand.Source64)}
 		ref := rand.New(cs)
 		g := NewGen(seed)
 		tails, wedges := 0, 0
 		for drawn, i := 0, 0; drawn < drawCount(10_000_000); i++ {
-			xs := buf[:1+i%len(buf)]
-			g.src.normals(xs, g.rng)
+			d := draws{js: js[:1+i%len(js)]}
+			g.src.normals(&d)
+			xs := buf[:len(d.js)]
+			d.floats(xs)
 			for j, x := range xs {
 				before := cs.n
 				want := ref.NormFloat64()

@@ -99,10 +99,10 @@ func DeriveSeed(base int64, labels ...string) int64 {
 // Gen is a deterministic generator of synthetic operands.
 type Gen struct {
 	src   *source
-	rng   *rand.Rand  // reads src: the stream of rand.New(rand.NewSource(seed))
-	codes []int32     // LayerStats' weight scratch, reused across layers
-	bufs  [][]float64 // the weight pipeline's chunk buffers; bufs[0] also the activations'
-	hists []int       // drawWeights' per-chunk magnitude histograms
+	rng   *rand.Rand          // reads src: the stream of rand.New(rand.NewSource(seed))
+	codes []int32             // LayerStats' scratch, reused across layers
+	bufs  [maxProcs + 1]draws // the weight pipeline's chunk buffers; bufs[0] also the activations'
+	hists []int               // drawWeights' per-chunk magnitude histograms
 }
 
 // NewGen returns a generator seeded with seed. It draws the values
@@ -114,7 +114,11 @@ func NewGen(seed int64) *Gen {
 
 // Normals fills xs with the generator's next len(xs) standard normals: the
 // values rand.New(rand.NewSource(seed)).NormFloat64 would return, in order.
-func (g *Gen) Normals(xs []float64) { g.src.normals(xs, g.rng) }
+func (g *Gen) Normals(xs []float64) {
+	for lo := 0; lo < len(xs); lo += chunkLen {
+		g.next(0, min(chunkLen, len(xs)-lo)).floats(xs[lo:])
+	}
+}
 
 // FeatureMap generates a c×h×w activation map at the given bit-width:
 // rectified-Gaussian values quantized with the default activation clip, then
@@ -126,15 +130,14 @@ func (g *Gen) Normals(xs []float64) { g.src.normals(xs, g.rng) }
 // ±60% while preserving the mean.
 func (g *Gen) FeatureMap(c, h, w, bits int, aDensity float64) *tensor.FeatureMap {
 	f := tensor.NewFeatureMap(c, h, w, bits)
-	q := actQuantizer(bits)
+	tab := actTable(bits)
+	hist := make([]int, tab.q.MaxCode()+1)
 	for ch := 0; ch < c; ch++ {
 		plane := f.Channel(ch)
-		g.eachNormal(len(plane), chunkLen, func(i int, xs []float64) {
-			for j, x := range xs {
-				plane[i*chunkLen+j] = q.Code(x)
-			}
-		})
-		quant.PruneToDensity(plane, planeDensity(aDensity, ch))
+		clear(hist)
+		g.drawCodes(plane, hist, tab)
+		t, surplus := quant.PruneHist(hist, planeDensity(aDensity, ch))
+		quant.PruneCut(plane, t, quant.TieCut(plane, t, surplus))
 	}
 	return f
 }

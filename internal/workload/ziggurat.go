@@ -1,6 +1,6 @@
-// The ziggurat tables below, and the fast path of normals that reads them,
-// are copied from the Go standard library's math/rand (normal.go), under
-// this notice:
+// The ziggurat tables below, and the tail and wedge of the slow draws that
+// read them, are copied from the Go standard library's math/rand
+// (normal.go), under this notice:
 //
 // Copyright 2009 The Go Authors.
 //
@@ -32,35 +32,139 @@
 
 package workload
 
-import "math/rand"
+import "math"
 
-// normals fills xs with the values rng.NormFloat64 would return, rng being
-// a rand.Rand over s, in stream order. NormFloat64 draws j =
-// int32(rng.Uint32()) and returns j*wn[j&0x7f] when |j| < kn[j&0x7f], which
-// holds for 97% of draws; normals takes that path inline on the ring.
-// For any other j it leaves the value it peeked unconsumed and calls
-// rng.NormFloat64, which draws the same j and runs the tail or wedge
-// exactly as the standard library does, so the stream advances draw for
-// draw as NormFloat64's would.
-func (s *source) normals(xs []float64, rng *rand.Rand) {
-	tap, feed := s.tap, s.feed
-	for i := range xs {
-		t, f := prev(tap), prev(feed)
-		x := s.vec[f] + s.vec[t]
-		j := int32(uint32(uint64(x) >> 31)) // rand.Rand.Uint32: bits 31..62
-		k := j & 0x7f
-		if uint32(max(j, -j)) < kn[k] { // max(j, -j) is |j|, and 1<<31 for math.MinInt32
-			s.vec[f] = x
-			tap, feed = t, f
-			xs[i] = float64(j) * float64(wn[k])
+// draws is one chunk of draw records: the standard normals the stream
+// yields, in order, each kept in the form the ziggurat leaves it in. A fast
+// draw, one whose j = int32(rand.Rand.Uint32()) has |j| < kn[j&0x7f] (97% of
+// draws), is kept as j, its normal being float64(j)*float64(wn[j&0x7f]). A
+// slow draw is kept as slowDraw, and its finished normal is the next value
+// of slow. Consumers that need codes look fast draws up in a code table
+// (codetable.go); only Gen.Normals turns the records back into floats.
+type draws struct {
+	js   []int32
+	slow []float64
+}
+
+// slowDraw marks a slow draw in draws.js. No fast draw has this j: its
+// |j| is 1<<31, above every kn.
+const slowDraw = math.MinInt32
+
+// floats writes the normals d records to xs, which holds len(d.js) values.
+func (d *draws) floats(xs []float64) {
+	slow := d.slow
+	for i, j := range d.js {
+		if j == slowDraw {
+			xs[i], slow = slow[0], slow[1:]
 			continue
 		}
-		s.tap, s.feed = tap, feed
-		xs[i] = rng.NormFloat64()
-		tap, feed = s.tap, s.feed
+		xs[i] = float64(j) * float64(wn[j&0x7f])
 	}
-	s.tap, s.feed = tap, feed
 }
+
+// normals fills d with the records of the stream's next len(d.js) draws of
+// rand.Rand.NormFloat64, rand.Rand being over s, in stream order. It walks
+// the ring in runs that end where tap or feed wraps, so no value of a run
+// tests for the wrap. A draw that fails the fast test is finished by slow,
+// which reads further values as NormFloat64 would, so the stream advances
+// draw for draw as NormFloat64's does.
+func (s *source) normals(d *draws) {
+	d.slow = d.slow[:0]
+	js := d.js
+	for len(js) > 0 {
+		// The run takes the ring slots from tap and feed up to the first
+		// wrap, and stops at a slow draw.
+		n := min(len(js), rngLen-s.tap, rngLen-s.feed)
+		r := fastRun(js[:n], s.vec[s.tap:], s.vec[s.feed:])
+		s.tap, s.feed, js = s.tap+r, s.feed+r, js[r:]
+		if r < n { // the slow draw's value, already written at feed
+			x := s.vec[s.feed]
+			s.tap, s.feed = next(s.tap), next(s.feed)
+			js[0], js = slowDraw, js[1:]
+			d.slow = append(d.slow, s.slow(int32(uint32(uint64(x)>>31))))
+			continue
+		}
+		if s.tap == rngLen {
+			s.tap = 0
+		}
+		if s.feed == rngLen {
+			s.feed = 0
+		}
+	}
+}
+
+// fastRun takes the next len(out) values of the stream from the ring
+// slots that start vt (taps) and vf (feeds), writing each value into vf as
+// the generator does, and sets out[r] = j of each fast draw. It stops at
+// the first slow draw, whose value it has written, and returns how many
+// fast draws it took.
+func fastRun(out []int32, vt, vf []int64) int {
+	vt, vf = vt[:len(out)], vf[:len(out)]
+	for r := range out {
+		x := vf[r] + vt[r]
+		vf[r] = x
+		j := int32(uint32(uint64(x) >> 31))   // rand.Rand.Uint32: bits 31..62
+		if uint32(max(j, -j)) >= kn[j&0x7f] { // max(j, -j) is |j|, and 1<<31 for math.MinInt32
+			return r
+		}
+		out[r] = j
+	}
+	return len(out)
+}
+
+// slow finishes the draw of rand.Rand.NormFloat64 that began with j, a j
+// that failed the fast test, and returns its normal. The loop is
+// NormFloat64's with the draw of j moved to its end; its tail and wedge
+// expressions are copied as written there, so the compiler evaluates them
+// the same way.
+func (s *source) slow(j int32) float64 {
+	for {
+		i := j & 0x7F
+		x := float64(j) * float64(wn[i])
+		if absInt32(j) < kn[i] {
+			return x
+		}
+
+		if i == 0 {
+			// This extra work is only required for the base strip.
+			for {
+				x = -math.Log(s.float()) * (1.0 / rn)
+				y := -math.Log(s.float())
+				if y+y >= x*x {
+					break
+				}
+			}
+			if j > 0 {
+				return rn + x
+			}
+			return -rn - x
+		}
+		if fn[i]+float32(s.float())*(fn[i-1]-fn[i]) < float32(math.Exp(-.5*x*x)) {
+			return x
+		}
+		j = int32(uint32(s.Int63() >> 31)) // rand.Rand.Uint32
+	}
+}
+
+// float returns rand.Rand.Float64's next value on s.
+func (s *source) float() float64 {
+again:
+	f := float64(s.Int63()) / (1 << 63)
+	if f == 1 {
+		goto again // resample; this branch is taken O(never)
+	}
+	return f
+}
+
+func absInt32(i int32) uint32 {
+	if i < 0 {
+		return uint32(-i)
+	}
+	return uint32(i)
+}
+
+// rn is where the base strip's tail begins.
+const rn = 3.442619855899
 
 var kn = [128]uint32{
 	0x76ad2212, 0x0, 0x600f1b53, 0x6ce447a6, 0x725b46a2,
@@ -124,4 +228,32 @@ var wn = [128]float32{
 	1.1781276e-09, 1.1962995e-09, 1.2158287e-09, 1.2369856e-09,
 	1.2601323e-09, 1.2857697e-09, 1.3146202e-09, 1.347784e-09,
 	1.3870636e-09, 1.4357403e-09, 1.5008659e-09, 1.6030948e-09,
+}
+var fn = [128]float32{
+	1, 0.9635997, 0.9362827, 0.9130436, 0.89228165, 0.87324303,
+	0.8555006, 0.8387836, 0.8229072, 0.8077383, 0.793177,
+	0.7791461, 0.7655842, 0.7524416, 0.73967725, 0.7272569,
+	0.7151515, 0.7033361, 0.69178915, 0.68049186, 0.6694277,
+	0.658582, 0.6479418, 0.63749546, 0.6272325, 0.6171434,
+	0.6072195, 0.5974532, 0.58783704, 0.5783647, 0.56903,
+	0.5598274, 0.5507518, 0.54179835, 0.5329627, 0.52424055,
+	0.5156282, 0.50712204, 0.49871865, 0.49041483, 0.48220766,
+	0.4740943, 0.46607214, 0.4581387, 0.45029163, 0.44252872,
+	0.43484783, 0.427247, 0.41972435, 0.41227803, 0.40490642,
+	0.39760786, 0.3903808, 0.3832238, 0.37613547, 0.36911446,
+	0.3621595, 0.35526937, 0.34844297, 0.34167916, 0.33497685,
+	0.3283351, 0.3217529, 0.3152294, 0.30876362, 0.30235484,
+	0.29600215, 0.28970486, 0.2834622, 0.2772735, 0.27113807,
+	0.2650553, 0.25902456, 0.2530453, 0.24711695, 0.241239,
+	0.23541094, 0.22963232, 0.2239027, 0.21822165, 0.21258877,
+	0.20700371, 0.20146611, 0.19597565, 0.19053204, 0.18513499,
+	0.17978427, 0.17447963, 0.1692209, 0.16400786, 0.15884037,
+	0.15371831, 0.14864157, 0.14361008, 0.13862377, 0.13368265,
+	0.12878671, 0.12393598, 0.119130544, 0.11437051, 0.10965602,
+	0.104987256, 0.10036444, 0.095787846, 0.0912578, 0.08677467,
+	0.0823389, 0.077950984, 0.073611505, 0.06932112, 0.06508058,
+	0.06089077, 0.056752663, 0.0526674, 0.048636295, 0.044660863,
+	0.040742867, 0.03688439, 0.033087887, 0.029356318,
+	0.025693292, 0.022103304, 0.018592102, 0.015167298,
+	0.011839478, 0.008624485, 0.005548995, 0.0026696292,
 }
