@@ -50,6 +50,7 @@ func Registry() []Benchmark {
 		{Name: "workload/network_stats_vgg16", Fn: benchNetworkStats(model.VGG16())},
 		{Name: "workload/network_stats_resnet50", Fn: benchNetworkStats(model.ResNet50())},
 		{Name: "workload/layer_operands_serve", Fn: benchLayerOperandsServe},
+		{Name: "workload/stream_walk_vgg16", Fn: benchStreamWalk(model.VGG16())},
 	}
 }
 
@@ -255,6 +256,23 @@ func benchNetworkStats(n *model.Network) func(b *testing.B) {
 			if st := workload.NewGen(1).NetworkStats(sn, p, 2, true); len(st) != len(sn.Layers) {
 				b.Fatal("missing layers")
 			}
+		}
+	}
+}
+
+// benchStreamWalk measures synthesis's serial floor: the walk alone through
+// the random stream over as many draws as workload/network_stats_* draws
+// for n (every activation and weight of every layer at scale 16), with no
+// coding, pruning or metering. Each op starts from a fresh generator.
+func benchStreamWalk(n *model.Network) func(b *testing.B) {
+	draws := 0
+	for _, l := range experiments.NewQuickBench(1, 16).Scaled(n).Layers {
+		draws += l.C*l.H*l.W + int(l.Weights())
+	}
+	return func(b *testing.B) {
+		b.ReportAllocs()
+		for i := 0; i < b.N; i++ {
+			workload.NewGen(1).Walk(draws)
 		}
 	}
 }

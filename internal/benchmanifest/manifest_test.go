@@ -148,6 +148,7 @@ func TestRegistryNamesStable(t *testing.T) {
 		"workload/network_stats_vgg16",
 		"workload/network_stats_resnet50",
 		"workload/layer_operands_serve",
+		"workload/stream_walk_vgg16",
 	}
 	reg := Registry()
 	if len(reg) != len(want) {

@@ -237,14 +237,14 @@ func PruneHist(hist []int, density float64) (t, surplus int) {
 // TieCut returns the index just past the surplus-th value of magnitude t in
 // data: the values of magnitude t before it survive pruning, those from it
 // on do not. It is 0 when surplus is, and len(data) when data holds fewer
-// than surplus such values.
-func TieCut(data []int32, t, surplus int) int {
+// than surplus such values. data holds codes, or magnitudes in bytes.
+func TieCut[V int32 | uint8](data []V, t, surplus int) int {
 	if surplus == 0 {
 		return 0
 	}
 	for i, v := range data {
 		tie := 0
-		if int(atom.Magnitude(v)) == t {
+		if m := int(v); m == t || m == -t { // |v| == t, as t >= 0
 			tie = 1
 		}
 		if surplus -= tie; surplus == 0 {

@@ -52,67 +52,81 @@ func StatsFromTensors(l model.Layer, f *tensor.FeatureMap, k *tensor.KernelStack
 }
 
 // LayerStats draws a layer's operands exactly as LayerOperands does and
-// measures them as StatsFromTensors would, without materializing them:
-// each activation plane is coded into a scratch buffer the generator
-// reuses across layers, and its magnitude histogram is pruned instead of
-// the plane; the weight codes then go into the same scratch, where the
-// meter reads them through the pruning threshold instead of pruning them.
-// The booth flag selects NAF (true) or popcount term counting for the
-// bit-serial histograms.
+// measures them as StatsFromTensors would, without materializing them.
+// It is NetworkStats on one layer. The booth flag selects NAF (true) or
+// popcount term counting for the bit-serial histograms.
 func (g *Gen) LayerStats(l model.Layer, wbits, abits int, gran atom.Granularity, t Targets, booth bool) LayerStats {
-	m := newMeter(l, wbits, abits, gran)
-	tab := actTable(abits)
-	hist := make([]int, tab.q.MaxCode()+1)
-	plane := g.scratch(l.H * l.W)
-	for c := 0; c < l.C; c++ {
-		clear(hist)
-		g.drawCodes(plane, hist, tab)
-		quant.PruneHist(hist, planeDensity(t.ADensity, c))
-		m.plane(c, hist)
-	}
-
-	codes := g.scratch(int(l.Weights()))
-	wHist, wt, surplus := g.drawWeights(codes, wbits, t.WDensity, chunkLen)
-	m.weights(codes, wHist, wt, g.tieCut(codes, wt, surplus, len(wHist), chunkLen))
-	return m.finish(booth)
-}
-
-// scratch returns the generator's scratch at length n, growing it when it
-// is shorter.
-func (g *Gen) scratch(n int) []int32 {
-	if cap(g.codes) < n {
-		g.codes = make([]int32, n)
-	}
-	return g.codes[:n]
+	return g.stats([]model.Layer{l}, []int{wbits}, []int{abits}, []Targets{t}, gran, booth)[0]
 }
 
 // NetworkStats generates statistics for every layer of a network under a
 // precision assignment.
 func (g *Gen) NetworkStats(n *model.Network, p model.Precision, gran atom.Granularity, booth bool) []LayerStats {
-	out := make([]LayerStats, len(n.Layers))
-	// Size the scratch and the per-chunk histograms once, at full size:
-	// growing them layer by layer leaves garbage.
-	most, slab := 0, 0
-	for i, l := range n.Layers {
-		w := int(l.Weights())
-		most = max(most, w, l.H*l.W)
-		slab = max(slab, (w+chunkLen-1)/chunkLen*histStride(weightQuantizer(p.WBits[i]).MaxCode()+1))
+	ts := make([]Targets, len(n.Layers))
+	for i := range n.Layers {
+		ts[i] = EvalTargets(n.Name, p.WBits[i], p.ABits[i])
 	}
-	g.scratch(most)
-	g.chunkHists(slab)
-	for i, l := range n.Layers {
-		t := EvalTargets(n.Name, p.WBits[i], p.ABits[i])
-		out[i] = g.LayerStats(l, p.WBits[i], p.ABits[i], gran, t, booth)
+	return g.stats(n.Layers, p.WBits, p.ABits, ts, gran, booth)
+}
+
+// stats draws layers ls at the given widths and targets through one
+// synthesis pipeline and measures them. Each layer's activation planes are
+// coded on the caller into the generator's plane scratch, and each plane's
+// magnitude histogram is pruned instead of the plane. Its weights are then
+// coded into a weight slot, as bytes where they fit, and metered through
+// the pruning threshold instead of pruned (meter.prune).
+func (g *Gen) stats(ls []model.Layer, wbits, abits []int, ts []Targets, gran atom.Granularity, booth bool) []LayerStats {
+	ws := make([]*weightDraw, len(ls))
+	for i, l := range ls {
+		ws[i] = &weightDraw{tab: weightTable(wbits[i]), density: ts[i].WDensity, n: int(l.Weights()), m: newMeter(l, wbits[i], abits[i], gran)}
+	}
+	// Size the slots once, at full size: growing them layer by layer
+	// leaves garbage.
+	var most [3]int
+	for _, w := range ws {
+		mags, codes, hists := w.needs(chunkLen)
+		most = [3]int{max(most[0], mags), max(most[1], codes), max(most[2], hists)}
+	}
+	for i := range 2 {
+		s := &g.slots[i]
+		grow(&s.mags, most[0])
+		grow(&s.codes, most[1])
+		grow(&s.hists, most[2])
+	}
+	g.synthesize(ws, chunkLen, func(i int) { g.planes(ws[i].m, ts[i].ADensity) })
+	out := make([]LayerStats, len(ls))
+	for i, w := range ws {
+		w.m.merge()
+		out[i] = w.m.finish(booth)
 	}
 	return out
 }
 
-// meter accumulates LayerStats from magnitude histograms and weight codes.
+// planes draws m's layer's activation planes on the caller's goroutine,
+// each coded into the generator's plane scratch, and meters each plane's
+// magnitude histogram, pruned to the plane's density target.
+func (g *Gen) planes(m *meter, aDensity float64) {
+	tab := actTable(m.s.ABits)
+	l := m.s.Layer
+	hist, plane := make([]int, tab.q.MaxCode()+1), grow(&g.slots[2].codes, l.H*l.W)
+	for c := 0; c < l.C; c++ {
+		drawPlane(g, plane, tab, planeDensity(aDensity, c), hist)
+		m.plane(c, hist)
+	}
+}
+
+// meter accumulates LayerStats from magnitude histograms and weight words.
 // LayerStats and StatsFromTensors both measure through it, so the drawn and
 // the materialized path share every counting rule.
 type meter struct {
 	s            LayerStats
 	aHist, wHist []int
+
+	// A weight's packed counts by magnitude (prune), before the tie cut
+	// and from it on, and worker w's per-channel sums at [w*C, (w+1)*C).
+	before, after []uint64
+	cut, workers  int
+	perChan       []uint64
 }
 
 func newMeter(l model.Layer, wbits, abits int, gran atom.Granularity) *meter {
@@ -144,58 +158,111 @@ func (m *meter) plane(c int, hist []int) {
 // weights folds in the layer's kernel stack, its codes laid out (k, c, y,
 // x), as quant.PruneAt(codes, t, surplus) would leave them, where cut is
 // quant.TieCut(codes, t, surplus), and hist, their pruned magnitude
-// histogram. It reads the codes without rewriting them: before cut a
-// weight counts when its magnitude is at least t, from cut on when it is
-// above t. With t = 0 every non-zero weight counts. The filters are split
-// across workers, whose per-channel sums are merged in order.
+// histogram. The filters are split across workers (filters).
 func (m *meter) weights(codes []int32, hist []int, t, cut int) {
-	m.wHist = hist
+	k := m.s.Layer.K
+	w := procs(k)
+	m.prune(hist, t, cut, w)
+	fanOut(w, func(i int) { filters(m, codes, i*k/w, (i+1)*k/w, i) })
+	m.merge()
+}
+
+// prune readies the meter for weights whose pruned magnitude histogram is
+// hist, pruned at threshold t with tie cut cut, metered by up to workers
+// goroutines. The weights are read without rewriting them: before cut a
+// weight counts when its magnitude is at least t, from cut on when it is
+// above t. With t = 0 every non-zero weight counts.
+func (m *meter) prune(hist []int, t, cut, workers int) {
+	m.wHist, m.cut, m.workers = hist, cut, workers
 	// A table entry packs one weight's non-zero count (high half) and atom
 	// count (low half), so a single add per weight updates both. Neither
-	// half of a per-channel or per-filter sum comes near 1<<32.
-	before, after := make([]uint64, len(hist)), make([]uint64, len(hist))
+	// half of a per-channel or per-filter sum comes near 1<<32. The tables
+	// cover every magnitude a byte holds, so filters reads byte words
+	// through them without a bounds check.
+	n := max(len(hist), 256)
+	m.before, m.after = make([]uint64, n), make([]uint64, n)
 	for mag := 1; mag < len(hist); mag++ {
 		e := 1<<32 | uint64(atom.CountNonZero(int32(mag), m.s.WBits, m.s.Gran))
 		if mag >= t {
-			before[mag] = e
+			m.before[mag] = e
 		}
 		if mag > t {
-			after[mag] = e
+			m.after[mag] = e
 		}
 	}
+	m.perChan = make([]uint64, workers*m.s.Layer.C)
+}
+
+// filters meters filters [k0, k1) of words, laid out (k, c, y, x), on
+// worker w: their per-filter counts, and w's per-channel sums.
+func filters[W word](m *meter, words []W, k0, k1, w int) {
 	l := m.s.Layer
-	area := l.KH * l.KW
-	w := procs(l.K)
-	perChan := make([]uint64, w*l.C) // worker i's sums at [i*l.C, (i+1)*l.C)
-	fanOut(w, func(i int) {
-		sums := perChan[i*l.C : (i+1)*l.C]
-		for k := i * l.K / w; k < (i+1)*l.K/w; k++ {
-			var sum uint64
-			for c := range sums {
-				lo := (k*l.C + c) * area
-				blk, tab := codes[lo:lo+area], after
-				var s uint64
-				if lo+area <= cut {
-					tab = before
-				} else if lo < cut { // the block holds the cut
-					for _, v := range blk[:cut-lo] {
-						s += before[atom.Magnitude(v)]
-					}
-					blk = blk[cut-lo:]
+	area, row := l.KH*l.KW, l.C*l.KH*l.KW
+	sums := m.perChan[w*l.C:][:l.C]
+	for k := k0; k < k1; k++ {
+		lo := k * row
+		var sum uint64
+		switch {
+		case lo+row <= m.cut:
+			sum = blocks(sums, words[lo:lo+row], area, m.before)
+		case lo >= m.cut:
+			sum = blocks(sums, words[lo:lo+row], area, m.after)
+		default: // the filter holds the cut
+			for x, v := range words[lo : lo+row] {
+				tab := m.after
+				if lo+x < m.cut {
+					tab = m.before
 				}
-				for _, v := range blk {
-					s += tab[atom.Magnitude(v)]
-				}
-				sums[c] += s
-				sum += s
+				sums[x/area] += tab[magnitude(v)]
+				sum += tab[magnitude(v)]
 			}
-			m.s.WNZPerFilter[k], m.s.WAtomsPerFilter[k] = unpack(sum)
 		}
-	})
+		m.s.WNZPerFilter[k], m.s.WAtomsPerFilter[k] = unpack(sum)
+	}
+}
+
+// blocks adds the packed counts of a filter's words, read through tab, to
+// the per-channel sums, one block of area words per channel, and returns
+// their total. 1x1 and 3x3 blocks, nearly every layer's, are summed
+// without an inner loop.
+func blocks[W word](sums []uint64, words []W, area int, tab []uint64) (sum uint64) {
+	_ = tab[255]
+	switch area {
+	case 1:
+		for c, v := range words[:len(sums)] {
+			s := tab[magnitude(v)]
+			sums[c] += s
+			sum += s
+		}
+	case 9:
+		for c := range sums {
+			b := words[c*9:][:9:9]
+			s := tab[magnitude(b[0])] + tab[magnitude(b[1])] + tab[magnitude(b[2])] +
+				tab[magnitude(b[3])] + tab[magnitude(b[4])] + tab[magnitude(b[5])] +
+				tab[magnitude(b[6])] + tab[magnitude(b[7])] + tab[magnitude(b[8])]
+			sums[c] += s
+			sum += s
+		}
+	default:
+		for c := range sums {
+			var s uint64
+			for _, v := range words[c*area:][:area] {
+				s += tab[magnitude(v)]
+			}
+			sums[c] += s
+			sum += s
+		}
+	}
+	return sum
+}
+
+// merge sums the workers' per-channel counts.
+func (m *meter) merge() {
+	l := m.s.Layer
 	for c := range l.C {
 		var s uint64
-		for i := range w {
-			s += perChan[i*l.C+c]
+		for w := range m.workers {
+			s += m.perChan[w*l.C+c]
 		}
 		m.s.WNZPerChan[c], m.s.WAtomsPerChan[c] = unpack(s)
 	}

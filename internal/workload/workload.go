@@ -99,10 +99,9 @@ func DeriveSeed(base int64, labels ...string) int64 {
 // Gen is a deterministic generator of synthetic operands.
 type Gen struct {
 	src   *source
-	rng   *rand.Rand          // reads src: the stream of rand.New(rand.NewSource(seed))
-	codes []int32             // LayerStats' scratch, reused across layers
-	bufs  [maxProcs + 1]draws // the weight pipeline's chunk buffers; bufs[0] also the activations'
-	hists []int               // drawWeights' per-chunk magnitude histograms
+	rng   *rand.Rand         // reads src: the stream of rand.New(rand.NewSource(seed))
+	bufs  [maxBufs + 1]draws // the synthesis pipeline's chunk buffers, and last the caller's own
+	slots [3]slot            // the synthesis runs' scratches, reused across layers and runs
 }
 
 // NewGen returns a generator seeded with seed. It draws the values
@@ -116,7 +115,16 @@ func NewGen(seed int64) *Gen {
 // values rand.New(rand.NewSource(seed)).NormFloat64 would return, in order.
 func (g *Gen) Normals(xs []float64) {
 	for lo := 0; lo < len(xs); lo += chunkLen {
-		g.next(0, min(chunkLen, len(xs)-lo)).floats(xs[lo:])
+		g.next(min(chunkLen, len(xs)-lo)).floats(xs[lo:])
+	}
+}
+
+// Walk advances the generator past its next n standard normals, as
+// Normals would, without making them: the walk through the random stream
+// alone, the serial part of synthesis.
+func (g *Gen) Walk(n int) {
+	for lo := 0; lo < n; lo += chunkLen {
+		g.next(min(chunkLen, n-lo))
 	}
 }
 
@@ -134,9 +142,7 @@ func (g *Gen) FeatureMap(c, h, w, bits int, aDensity float64) *tensor.FeatureMap
 	hist := make([]int, tab.q.MaxCode()+1)
 	for ch := 0; ch < c; ch++ {
 		plane := f.Channel(ch)
-		clear(hist)
-		g.drawCodes(plane, hist, tab)
-		t, surplus := quant.PruneHist(hist, planeDensity(aDensity, ch))
+		t, surplus := drawPlane(g, plane, tab, planeDensity(aDensity, ch), hist)
 		quant.PruneCut(plane, t, quant.TieCut(plane, t, surplus))
 	}
 	return f
@@ -173,8 +179,8 @@ func splitmix(x uint64) uint64 {
 // target density as PruneToDensity would.
 func (g *Gen) Kernels(k, c, kh, kw, bits int, wDensity float64) *tensor.KernelStack {
 	ks := tensor.NewKernelStack(k, c, kh, kw, bits)
-	hist, t, surplus := g.drawWeights(ks.Data, bits, wDensity, chunkLen)
-	quant.PruneCut(ks.Data, t, g.tieCut(ks.Data, t, surplus, len(hist), chunkLen))
+	w := g.drawWeights(ks.Data, bits, wDensity, chunkLen)
+	quant.PruneCut(ks.Data, w.t, w.cut)
 	return ks
 }
 

@@ -38,12 +38,14 @@ import "math"
 // yields, in order, each kept in the form the ziggurat leaves it in. A fast
 // draw, one whose j = int32(rand.Rand.Uint32()) has |j| < kn[j&0x7f] (97% of
 // draws), is kept as j, its normal being float64(j)*float64(wn[j&0x7f]). A
-// slow draw is kept as slowDraw, and its finished normal is the next value
-// of slow. Consumers that need codes look fast draws up in a code table
-// (codetable.go); only Gen.Normals turns the records back into floats.
+// slow draw is kept as slowDraw, its finished normal is the next value of
+// slow, and its index in js the next value of at. Consumers that need codes
+// look fast draws up in a code table (codetable.go); only Gen.Normals turns
+// the records back into floats.
 type draws struct {
 	js   []int32
 	slow []float64
+	at   []int32
 }
 
 // slowDraw marks a slow draw in draws.js. No fast draw has this j: its
@@ -69,7 +71,7 @@ func (d *draws) floats(xs []float64) {
 // which reads further values as NormFloat64 would, so the stream advances
 // draw for draw as NormFloat64's does.
 func (s *source) normals(d *draws) {
-	d.slow = d.slow[:0]
+	d.slow, d.at = d.slow[:0], d.at[:0]
 	js := d.js
 	for len(js) > 0 {
 		// The run takes the ring slots from tap and feed up to the first
@@ -80,6 +82,7 @@ func (s *source) normals(d *draws) {
 		if r < n { // the slow draw's value, already written at feed
 			x := s.vec[s.feed]
 			s.tap, s.feed = next(s.tap), next(s.feed)
+			d.at = append(d.at, int32(len(d.js)-len(js)))
 			js[0], js = slowDraw, js[1:]
 			d.slow = append(d.slow, s.slow(int32(uint32(uint64(x)>>31))))
 			continue
