@@ -120,10 +120,10 @@ func TestNetworkStatsMatchesMaterializedOperands(t *testing.T) {
 }
 
 // TestNetworkStatsWorkerInvariance runs the scale-64 matrix of
-// TestNetworkStatsMatchesMaterializedOperands at one, two and eight CPUs:
-// the weight pipeline and the meter split each layer across up to
-// GOMAXPROCS workers, and the statistics must not depend on how many. A
-// -race run checks one precision per network.
+// TestNetworkStatsMatchesMaterializedOperands at one, two, three and eight
+// CPUs: the synthesis pipeline and the meter split the work across up to
+// GOMAXPROCS goroutines, and the statistics must not depend on how many.
+// A -race run checks one precision per network.
 func TestNetworkStatsWorkerInvariance(t *testing.T) {
 	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(0))
 	b := experiments.NewQuickBench(1, 64)
@@ -139,7 +139,7 @@ func TestNetworkStatsWorkerInvariance(t *testing.T) {
 			}
 			seed := workload.DeriveSeed(1, n.Name, name)
 			var want []workload.LayerStats
-			for _, procs := range []int{1, 2, 8} {
+			for _, procs := range []int{1, 2, 3, 8} {
 				runtime.GOMAXPROCS(procs)
 				got := workload.NewGen(seed).NetworkStats(sn, p, 2, true)
 				if want == nil {
