@@ -319,7 +319,7 @@ func TestFigure1CountsMatchMaterialized(t *testing.T) {
 			for li, l := range n.Layers {
 				wn := min(int(l.Weights()), maxSamples)
 				an := min(int(l.Activations()), maxSamples)
-				jitter := 0.9 + 0.2*float64(int(hash(fmt.Sprintf("%s%d", name, li))%100))/100
+				jitter := 0.9 + 0.2*float64(int(model.Hash(fmt.Sprintf("%s%d", name, li))%100))/100
 				wRaw := make([]float64, wn)
 				for i := range wRaw {
 					wRaw[i] = rng.NormFloat64()

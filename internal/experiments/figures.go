@@ -12,17 +12,6 @@ import (
 	"ristretto/internal/workload"
 )
 
-// hash is FNV-1a, used for seed-independent per-layer jitter. Seeds are never
-// derived from it directly — that is workload.DeriveSeed's job.
-func hash(s string) uint64 {
-	var h uint64 = 1469598103934665603
-	for i := 0; i < len(s); i++ {
-		h ^= uint64(s[i])
-		h *= 1099511628211
-	}
-	return h
-}
-
 // Figure1 reproduces the sparsity-vs-bit-width study: five networks, each
 // uniformly quantized to 8/6/4/2 bits *without pruning*, reporting average
 // weight and activation sparsity. Weights are clipped Gaussians and
@@ -91,7 +80,7 @@ func figure1Counts(seed int64, name string, bits int) (zeroCounts, error) {
 		// scale-invariant for Gaussians, so varying σ alone would make
 		// every network identical; real networks differ in how tightly
 		// their learned clips sit.
-		jitter := 0.9 + 0.2*float64(int(hash(fmt.Sprintf("%s%d", name, li))%100))/100
+		jitter := 0.9 + 0.2*float64(int(model.Hash(fmt.Sprintf("%s%d", name, li))%100))/100
 		c.wZero += zeros(wn, quant.NewSigned(1, quant.Config{Bits: bits, ClipSigma: quant.DefaultWeightClip(bits) * jitter}))
 		c.aZero += zeros(an, quant.NewUnsigned(1, quant.Config{Bits: bits, ClipSigma: quant.DefaultActClip(bits) * jitter}))
 		c.wTot += wn

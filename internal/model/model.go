@@ -119,14 +119,20 @@ func Mixed24(n *Network, seed uint64) Precision {
 			p.WBits[i], p.ABits[i] = 4, 4
 			continue
 		}
-		h := splitmix(seed ^ hashString(n.Name) ^ uint64(i)*0x9e3779b97f4a7c15)
+		h := SplitMix(seed ^ Hash(n.Name) ^ uint64(i)*0x9e3779b97f4a7c15)
 		p.WBits[i] = 2 + 2*int(h&1)
 		p.ABits[i] = 2 + 2*int((h>>1)&1)
 	}
 	return p
 }
 
-func hashString(s string) uint64 {
+// Hash is the label hash that every derived seed (workload.DeriveSeed),
+// each network's evaluation targets and Mixed24 assignment, and Figure 1's
+// per-layer jitter are computed from: FNV-1a's loop and prime, but with
+// the offset basis 1469598103934665603, one digit short of FNV-1a's
+// 14695981039346656037. It is not FNV-1a, and the constant stays as it
+// is, since every output of the suite depends on it.
+func Hash(s string) uint64 {
 	var h uint64 = 1469598103934665603
 	for i := 0; i < len(s); i++ {
 		h ^= uint64(s[i])
@@ -135,7 +141,9 @@ func hashString(s string) uint64 {
 	return h
 }
 
-func splitmix(x uint64) uint64 {
+// SplitMix is the splitmix64 finalizer: a bijective mix of x in which
+// every input bit affects every output bit.
+func SplitMix(x uint64) uint64 {
 	x += 0x9e3779b97f4a7c15
 	x = (x ^ (x >> 30)) * 0xbf58476d1ce4e5b9
 	x = (x ^ (x >> 27)) * 0x94d049bb133111eb

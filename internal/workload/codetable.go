@@ -1,9 +1,9 @@
 package workload
 
 import (
+	"fmt"
 	"math"
 	"math/bits"
-	"slices"
 	"sync"
 
 	"ristretto/internal/atom"
@@ -24,33 +24,32 @@ import (
 //
 // So the table keeps, per strip, the magnitude over |j| in 1<<bb buckets of
 // 1<<shift values each: its value at the bucket's first |j|, and the |j|
-// where it steps up by one, if it does. A bucket whose magnitude steps more
-// than once is marked, and its draws are coded through Code.
+// where it steps up by one, if it does. Tables exist for 2 to 8 bits, the
+// widths synthesis draws, where no bucket steps more than once.
+//
+// An entry is base<<shift + (1<<shift - off): base is the magnitude at the
+// bucket's first |j|, lo, and lo+off the |j| where it steps to base+1
+// (off = 1<<shift if it does not), so that (e + |j| - lo) >> shift is the
+// magnitude at |j|. At 8 bits or fewer base is below 256 and shift at
+// least 31-maxBucketBits, so the sum fits 32 bits.
 type codeTable struct {
 	q     quant.Quantizer
 	shift uint     // a bucket holds 1<<shift values of |j|
 	bb    uint     // 1<<bb buckets per strip
 	neg   int32    // -1 if negative draws code to 0 (unsigned), else 0
 	e     []uint32 // strip k's bucket b at k<<bb | b
-	bytes bool     // signed, no bucket marked, and every code's magnitude fits a byte
 }
 
-// An unmarked entry is base<<shift + (1<<shift - off): base is the
-// magnitude at the bucket's first |j|, lo, and lo+off the |j| where it
-// steps to base+1 (off = 1<<shift if it does not), so that
-// (e + |j| - lo) >> shift is the magnitude at |j|. marked is never such an
-// entry, as base+2 <= 1<<(32-shift) for each of them.
-const marked = ^uint32(0)
-
 // maxBucketBits caps the buckets per strip at 256: enough for every
-// bucket of the tables at 8 bits or fewer to step at most once, and 128 KB
-// per table.
+// bucket to step at most once, and 128 KB per table.
 const maxBucketBits = 8
 
+// The widths code tables exist for.
+const minBits, maxBits = 2, 8
+
 // A word is what the coding loop writes for one draw: its code (int32),
-// or, where only magnitudes are read and the table codes every fast draw
-// of a signed quantizer into a byte (codeTable.bytes), its magnitude in
-// one byte (uint8).
+// or, where only magnitudes are read and the table is signed, its
+// magnitude in one byte (uint8).
 type word interface{ ~uint8 | ~int32 }
 
 // byteWords reports whether W holds magnitudes in one byte.
@@ -64,64 +63,36 @@ func magnitude[W word](v W) int {
 	return max(int(v), -int(v))
 }
 
-// histLen is how many buckets the coding loop's histogram has for words
-// of type W and a table of nh magnitudes: every magnitude a byte holds,
-// so that the loop indexes it by a byte without a bounds check, or nh.
-func histLen[W word](nh int) int {
-	if byteWords[W]() {
-		return 256
-	}
-	return nh
-}
-
 // code writes the words of d's draws to out and counts their magnitudes
-// in hist (histLen buckets). The draws the table does not code, those in
-// marked buckets and the slow ones, go through Code.
+// in hist: 256 buckets for byte words, so that run indexes it by a byte
+// without a bounds check, and one per magnitude of the table otherwise.
 func code[W word](t *codeTable, out []W, hist []int, d *draws) {
-	if byteWords[W]() && !t.bytes {
-		panic("workload: byte words from a code table that does not code into a byte")
+	if byteWords[W]() && t.neg != 0 {
+		panic("workload: byte words from an unsigned code table")
 	}
-	js := d.js
-	out = out[:len(js)]
-	for i := 0; ; i++ {
-		i += run(t, out[i:], hist, js[i:])
-		if i == len(js) {
-			break
-		}
-		c := int32(0) // a slow draw's, until its code replaces it below
-		if j := js[i]; j != slowDraw {
-			c = t.q.Code(float64(j) * float64(wn[j&0x7f]))
-		}
-		out[i] = put[W](c)
-		hist[atom.Magnitude(c)]++
-	}
+	run(t, out, hist, d.js)
 	// A slow draw is coded 0 so far: by run, as its index falls in strip
 	// 1's first bucket, which begins at magnitude 0, and its |j| is a
-	// multiple of every bucket's width, or above, where that bucket is
-	// marked. Its code, from its finished normal, replaces that 0.
+	// multiple of every bucket's width. Its code, from its finished
+	// normal, replaces that 0.
 	for s, i := range d.at {
 		c := t.q.Code(d.slow[s])
-		out[i] = put[W](c)
+		if byteWords[W]() {
+			out[i] = W(atom.Magnitude(c))
+		} else {
+			out[i] = W(c)
+		}
 		hist[0]--
 		hist[atom.Magnitude(c)]++
 	}
 }
 
-// put returns the word of code c.
-func put[W word](c int32) W {
-	if byteWords[W]() {
-		return W(atom.Magnitude(c))
-	}
-	return W(c)
-}
-
-// run codes the draws of js into out and hist until one in a marked
-// bucket, and returns how many it coded; it codes slowDraw as 0 (code).
-// It makes no call, and its shifts by the table's width are multiplies by
+// run codes the draws of js into out and hist, slowDraw as 0 (code). It
+// makes no call, and its shifts by the table's width are multiplies by
 // 1<<bb followed by a shift by 31, so the loop keeps its values in
-// registers. Byte words come from tables without marked buckets whose
-// codes are signed, so their loop tests for neither.
-func run[W word](t *codeTable, out []W, hist []int, js []int32) int {
+// registers. Byte words come from signed tables, so their loop needs no
+// sign test.
+func run[W word](t *codeTable, out []W, hist []int, js []int32) {
 	e, neg := t.e, t.neg
 	scale := uint64(1) << (t.bb & 31) // x>>shift is x*scale>>31
 	mask := uint32(1)<<(t.shift&31) - 1
@@ -140,31 +111,30 @@ func run[W word](t *codeTable, out []W, hist []int, js []int32) int {
 			hist[m]++
 			continue
 		}
-		if v == marked {
-			return i
-		}
 		m := int32(uint64(v+a&mask)*scale>>31) &^ (sgn & neg)
 		out[i] = W((m ^ sgn) - sgn)
 		hist[m]++
 	}
-	return len(js)
 }
 
 // The code tables of the default quantizers, built on first use and then
 // read-only: weights' (signed) in [0], activations' (unsigned) in [1],
-// indexed by bit-width.
-var tables [2][17]struct {
+// indexed by bit-width less minBits.
+var tables [2][maxBits - minBits + 1]struct {
 	once sync.Once
 	t    *codeTable
 }
 
 // weightTable and actTable return the code tables of weightQuantizer(bits)
-// and actQuantizer(bits).
+// and actQuantizer(bits). They panic at a width outside 2 to 8 bits.
 func weightTable(bits int) *codeTable { return table(0, bits, weightQuantizer) }
 func actTable(bits int) *codeTable    { return table(1, bits, actQuantizer) }
 
 func table(kind, bits int, q func(int) quant.Quantizer) *codeTable {
-	s := &tables[kind][bits]
+	if bits < minBits || bits > maxBits {
+		panic(fmt.Sprintf("workload: cannot draw %d-bit operands: synthesis serves %d to %d bits", bits, minBits, maxBits))
+	}
+	s := &tables[kind][bits-minBits]
 	s.once.Do(func() { s.t = newCodeTable(q(bits), kind == 1) })
 	return s.t
 }
@@ -173,7 +143,8 @@ func table(kind, bits int, q func(int) quant.Quantizer) *codeTable {
 // x >= 0 that codes to 1, x1; as q is uniform, magnitude m then begins near
 // x = (2m-1)*x1, so in strip k near |j| = x/wn[k], and each step placed
 // there is moved to where Code says it is. The buckets are the fewest that
-// hold at most one step each, up to 1<<maxBucketBits.
+// hold at most one step each, up to 1<<maxBucketBits; it panics if a
+// bucket would step twice.
 func newCodeTable(q quant.Quantizer, unsigned bool) *codeTable {
 	const top = 1 << 31 // past every |j|
 	mag := func(a uint64, k int) int32 { return q.Code(float64(a) * float64(wn[k])) }
@@ -231,18 +202,15 @@ func newCodeTable(q quant.Quantizer, unsigned bool) *codeTable {
 			}
 			base := uint64(m - 1) // the magnitude at lo
 			e := &t.e[uint64(k)<<t.bb|b]
-			if base+2 > 1<<(32-shift) {
-				*e = marked
-			} else if next >= lo+width { // no step in the bucket
+			if next >= lo+width { // no step in the bucket
 				*e = uint32(base << shift)
 			} else if after := step(m+1, k); after >= lo+width { // one step
 				*e = uint32(base<<shift + width - (next - lo))
 				m, next = m+1, after
 			} else {
-				*e = marked
+				panic(fmt.Sprintf("workload: code table to %d: strip %d bucket %d steps twice", q.MaxCode(), k, b))
 			}
 		}
 	}
-	t.bytes = !unsigned && q.MaxCode() < 256 && !slices.Contains(t.e, marked)
 	return t
 }

@@ -8,8 +8,8 @@ import (
 )
 
 // tableWidths are the widths the code table tests cover: every width a
-// layer draws, and two wider ones, whose tables hold marked buckets.
-var tableWidths = []int{2, 3, 4, 5, 6, 7, 8, 12, 16}
+// layer draws.
+var tableWidths = []int{2, 3, 4, 5, 6, 7, 8}
 
 // codeTables returns the weight and activation tables at bits, each with
 // its quantizer kind.
@@ -18,40 +18,30 @@ func codeTables(bits int) map[string]*codeTable {
 }
 
 // tableCode decodes the code of j = ±a in strip k from t's entries, as
-// codeTable.run does for a draw, whose k is j&0x7f. ok is false in a
-// marked bucket.
-func tableCode(t *codeTable, k, j int32) (c int32, ok bool) {
+// run does for a draw, whose k is j&0x7f.
+func tableCode(t *codeTable, k, j int32) int32 {
 	sgn := j >> 31
 	a := uint32((j ^ sgn) - sgn)
 	v := t.e[(uint64(k)<<31|uint64(a))>>t.shift]
-	if v == marked {
-		return 0, false
-	}
 	m := int32((v+a&(1<<t.shift-1))>>t.shift) &^ (sgn & t.neg)
-	return (m ^ sgn) - sgn, true
+	return (m ^ sgn) - sgn
 }
 
 // TestCodeTablesMatchCode checks every entry of the signed and unsigned
 // tables against Code at the bucket's first and last |j|, and at its step
-// and one below, for both signs of j. Buckets may be marked only above 8
-// bits, and at 8 bits or fewer the buckets must be the fewest that step at
-// most once: with half as many, one would step twice. slowDraw, whose index
-// falls in strip 1's first bucket, must code to 0 there unless the bucket
-// is marked.
+// and one below, for both signs of j. The buckets must be the fewest that
+// step at most once: with half as many, one would step twice. slowDraw,
+// whose index falls in strip 1's first bucket, must code to 0 there.
 func TestCodeTablesMatchCode(t *testing.T) {
 	for _, bits := range tableWidths {
 		for kind, tab := range codeTables(bits) {
 			name := fmt.Sprintf("%s %d-bit", kind, bits)
 			width := uint32(1) << tab.shift
-			checked, marks := 0, 0
+			checked := 0
 			for k := range int32(len(wn)) {
 				for b := range uint32(1) << tab.bb {
 					lo, hi := b*width, b*width+width-1
 					e := tab.e[uint32(k)<<tab.bb|b]
-					if e == marked {
-						marks++
-						continue
-					}
 					points := []uint32{lo, hi}
 					if off := width - e&(width-1); off < width {
 						points = append(points, lo+off, lo+off-1)
@@ -59,7 +49,7 @@ func TestCodeTablesMatchCode(t *testing.T) {
 					for _, a := range points {
 						for _, j := range []int32{int32(a), -int32(a)} {
 							want := tab.q.Code(float64(j) * float64(wn[k]))
-							if got, _ := tableCode(tab, k, j); got != want {
+							if got := tableCode(tab, k, j); got != want {
 								t.Fatalf("%s: strip %d bucket %d, j %d: code %d, Code says %d", name, k, b, j, got, want)
 							}
 							checked++
@@ -68,17 +58,14 @@ func TestCodeTablesMatchCode(t *testing.T) {
 				}
 			}
 			// code relies on run coding slowDraw as 0 in strip 1's first
-			// bucket, unless the bucket is marked.
-			if c, ok := tableCode(tab, 0, slowDraw); ok && c != 0 {
+			// bucket.
+			if c := tableCode(tab, 0, slowDraw); c != 0 {
 				t.Fatalf("%s: slowDraw codes to %d, not 0", name, c)
 			}
-			if marks > 0 && bits <= 8 {
-				t.Fatalf("%s: %d marked buckets at 8 bits or fewer", name, marks)
-			}
-			if bits <= 8 && tab.bb > 0 && !coarserStepsTwice(tab) {
+			if tab.bb > 0 && !coarserStepsTwice(tab) {
 				t.Fatalf("%s: %d buckets per strip, but half as many would each step at most once", name, 1<<tab.bb)
 			}
-			t.Logf("%s: %d buckets per strip, %d marked, %d points checked", name, 1<<tab.bb, marks, checked)
+			t.Logf("%s: %d buckets per strip, %d points checked", name, 1<<tab.bb, checked)
 		}
 	}
 }
@@ -113,7 +100,7 @@ func FuzzCodeTable(f *testing.F) {
 		if uint32(max(j, -j)) >= kn[k] {
 			return // a slow draw: the table never sees its j
 		}
-		bits := 2 + int(width)%15
+		bits := minBits + int(width)%(maxBits-minBits+1)
 		tab := weightTable(bits)
 		if unsigned {
 			tab = actTable(bits)

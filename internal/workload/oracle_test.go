@@ -154,8 +154,9 @@ func TestNetworkStatsWorkerInvariance(t *testing.T) {
 
 // TestStatsFromTensorsMatchesPerValueCounting checks the histogram
 // derivation against per-value counting on materialized layers, including
-// a 16-bit one whose magnitudes run past the 256-entry tables into the
-// per-bucket fallback, and checks that LayerStats draws the same layer.
+// 16-bit ones, widened from 8-bit draws, whose magnitudes run past the
+// 256-entry tables, and checks that LayerStats draws the same layer at
+// the widths synthesis serves.
 func TestStatsFromTensorsMatchesPerValueCounting(t *testing.T) {
 	layers := []model.Layer{
 		{Name: "conv", C: 6, H: 9, W: 7, K: 5, KH: 3, KW: 3, Stride: 1, Pad: 1},
@@ -165,14 +166,20 @@ func TestStatsFromTensorsMatchesPerValueCounting(t *testing.T) {
 	for _, l := range layers {
 		for _, bits := range []int{2, 4, 8, 16} {
 			tg := workload.Targets{WDensity: 0.45, ADensity: 0.4}
-			f, k := workload.NewGen(9).LayerOperands(l, bits, bits, tg)
-			if bits == 16 && maxMag(f.Data) < 256 && maxMag(k.Data) < 256 {
-				t.Fatalf("%s: 16-bit operands never pass 255, the fallback goes untested", l.Name)
+			f, k := workload.NewGen(9).LayerOperands(l, min(bits, 8), min(bits, 8), tg)
+			if bits == 16 {
+				f, k = widen(f, k)
+				if maxMag(f.Data) < 256 && maxMag(k.Data) < 256 {
+					t.Fatalf("%s: 16-bit operands never pass 255, the fallback goes untested", l.Name)
+				}
 			}
 			for _, m := range measures() {
 				want := statsPrev(l, f, k, m.gran, m.booth)
 				if got := workload.StatsFromTensors(l, f, k, m.gran, m.booth); !reflect.DeepEqual(got, want) {
 					t.Fatalf("%s %db gran %d booth %v: StatsFromTensors\n%+v\nper-value\n%+v", l.Name, bits, m.gran, m.booth, got, want)
+				}
+				if bits == 16 {
+					continue // synthesis draws 2 to 8 bits
 				}
 				if got := workload.NewGen(9).LayerStats(l, bits, bits, m.gran, tg, m.booth); !reflect.DeepEqual(got, want) {
 					t.Fatalf("%s %db gran %d booth %v: LayerStats\n%+v\nper-value\n%+v", l.Name, bits, m.gran, m.booth, got, want)
@@ -180,6 +187,19 @@ func TestStatsFromTensorsMatchesPerValueCounting(t *testing.T) {
 			}
 		}
 	}
+}
+
+// widen returns 16-bit copies of f and k with every value times 257, which
+// spreads 8-bit magnitudes over 16 bits (255 to 65535).
+func widen(f *tensor.FeatureMap, k *tensor.KernelStack) (*tensor.FeatureMap, *tensor.KernelStack) {
+	wf, wk := tensor.NewFeatureMap(f.C, f.H, f.W, 16), tensor.NewKernelStack(k.K, k.C, k.KH, k.KW, 16)
+	for i, v := range f.Data {
+		wf.Data[i] = 257 * v
+	}
+	for i, v := range k.Data {
+		wk.Data[i] = 257 * v
+	}
+	return wf, wk
 }
 
 func maxMag(data []int32) int32 {

@@ -14,10 +14,9 @@ const (
 	// small enough that the chunk buffers stay in cache.
 	chunkLen = 1 << 14
 	// maxProcs bounds the goroutines, the caller's included, that a
-	// synthesis run and the meter split their work across, and with them
-	// the pipeline's chunk buffers, whatever the core count. Once two
-	// workers run beside the caller, the caller walking the stream is the
-	// bottleneck.
+	// synthesis run splits its work across, and with them the pipeline's
+	// chunk buffers, whatever the core count. Once two workers run beside
+	// the caller, the caller walking the stream is the bottleneck.
 	maxProcs = 3
 	// maxBufs bounds the pipeline's chunk buffers, two per goroutine and
 	// two more: enough that the walk seldom waits for one while a worker
@@ -29,26 +28,26 @@ const (
 	pieceLen = 1 << 16
 )
 
-// procs is how many goroutines, the caller's included, a synthesis run or
-// the meter splits n items (chunks or filters) across: one per CPU up to
-// maxProcs, never more than the items, and at least one.
+// procs is how many goroutines, the caller's included, a synthesis run
+// splits n chunks across: one per CPU up to maxProcs, never more than the
+// chunks, and at least one.
 func procs(n int) int { return max(1, min(runtime.GOMAXPROCS(0), maxProcs, n)) }
 
 // A weightDraw is one layer's weights in a synthesis run: where the coding
 // loop writes them, and what the run finds out about them.
 //
-// The caller sets tab, density, n, m and, to have the codes themselves,
-// codes; the run sets everything else. A stats draw (m set, codes nil)
-// writes its words into the run's scratch: magnitudes in one byte where
-// the table's fit, codes otherwise.
+// The caller sets tab, density, n, and either m, for a stats draw, or
+// codes, to have the codes themselves; the run sets everything else. A
+// stats draw writes its weights' magnitudes into the run's scratch, one
+// byte each.
 type weightDraw struct {
 	tab     *codeTable
 	density float64
 	n       int // weights
 	m       *meter
 
-	mags   []uint8 // byte words, or
-	codes  []int32 // codes
+	mags   []uint8 // a stats draw's magnitudes, or
+	codes  []int32 // the codes
 	hists  []int   // per-chunk coding histograms, stride apart
 	stride int
 
@@ -60,21 +59,18 @@ type weightDraw struct {
 	done            chan struct{}
 }
 
-// byteWords reports whether the stats path codes tab's weights as bytes.
-func (w *weightDraw) byteWords() bool { return w.m != nil && w.tab.bytes }
-
-// histLen is the length of one chunk's coding histogram.
+// histLen is the length of one chunk's coding histogram (code).
 func (w *weightDraw) histLen() int {
-	if w.byteWords() {
-		return histLen[uint8](w.tab.q.MaxCode() + 1)
+	if w.m != nil {
+		return 256
 	}
-	return histLen[int32](w.tab.q.MaxCode() + 1)
+	return w.tab.q.MaxCode() + 1
 }
 
 // codeChunk codes chunk i of chunk draws.
 func (w *weightDraw) codeChunk(i, chunk int, d *draws) {
 	h := w.hists[i*w.stride:][:w.stride-histPad]
-	if w.byteWords() {
+	if w.m != nil {
 		code(w.tab, w.mags[i*chunk:], h, d)
 	} else {
 		code(w.tab, w.codes[i*chunk:], h, d)
@@ -102,7 +98,7 @@ func (w *weightDraw) prune(chunks, chunk int) {
 		surplus -= w.hists[i*w.stride+w.t]
 	}
 	lo, hi := i*chunk, min((i+1)*chunk, w.n)
-	if w.byteWords() {
+	if w.m != nil {
 		w.cut = lo + quant.TieCut(w.mags[lo:hi], w.t, surplus)
 	} else {
 		w.cut = lo + quant.TieCut(w.codes[lo:hi], w.t, surplus)
@@ -112,12 +108,7 @@ func (w *weightDraw) prune(chunks, chunk int) {
 // meterPiece meters piece p of the layer's filters on worker slot worker.
 func (w *weightDraw) meterPiece(p, worker int) {
 	k0 := p * w.filters
-	k1 := min(k0+w.filters, w.m.s.Layer.K)
-	if w.byteWords() {
-		filters(w.m, w.mags, k0, k1, worker)
-	} else {
-		filters(w.m, w.codes, k0, k1, worker)
-	}
+	filters(w.m, w.mags, k0, min(k0+w.filters, w.m.s.Layer.K), worker)
 }
 
 // pieces is how many meter jobs the layer's filters split into, and how
@@ -135,12 +126,10 @@ func (w *weightDraw) pieces() (n, filters int) {
 // in a slot, so that goroutines counting them never write one line.
 const histPad = 8
 
-// A slot is one of the generator's scratches. A synthesis run's layers
-// take slots 0 and 1 in turn for their words and per-chunk histograms,
-// and the caller codes activation planes into slot 2.
+// A slot is one of the generator's two weight scratches, which a synthesis
+// run's layers take in turn for their magnitudes and per-chunk histograms.
 type slot struct {
 	mags  []uint8
-	codes []int32
 	hists []int
 }
 
@@ -153,25 +142,20 @@ func grow[T any](buf *[]T, n int) []T {
 }
 
 // needs is how much of each of a slot's scratches w takes in chunks of
-// chunk draws: its words, for a stats draw (others are given their codes),
-// and its per-chunk histograms.
-func (w *weightDraw) needs(chunk int) (mags, codes, hists int) {
-	switch {
-	case w.byteWords():
+// chunk draws: its magnitudes, for a stats draw (others are given their
+// codes), and its per-chunk histograms.
+func (w *weightDraw) needs(chunk int) (mags, hists int) {
+	if w.m != nil {
 		mags = w.n
-	case w.m != nil:
-		codes = w.n
 	}
-	return mags, codes, (w.n + chunk - 1) / chunk * (w.histLen() + histPad)
+	return mags, (w.n + chunk - 1) / chunk * (w.histLen() + histPad)
 }
 
 // take gives w its share of slot s for chunks of chunk draws, growing the
 // slot where it is short, its per-chunk histograms zeroed.
 func (w *weightDraw) take(s *slot, chunk int) {
-	mags, codes, hists := w.needs(chunk)
-	if w.m != nil {
-		w.mags, w.codes = grow(&s.mags, mags), grow(&s.codes, codes)
-	}
+	mags, hists := w.needs(chunk)
+	w.mags = grow(&s.mags, mags)
 	w.stride = w.histLen() + histPad
 	w.hists = grow(&s.hists, hists)
 	clear(w.hists)
@@ -447,26 +431,6 @@ func (g *Gen) chunkBuf(b, n int) *draws {
 	}
 	d.js = d.js[:n]
 	return d
-}
-
-// fanOut runs fn(w) for w in [0, n): fn(0) on the caller's goroutine and
-// the rest on goroutines of their own, and returns once all have. It
-// re-raises a panic as synthesize does.
-func fanOut(n int, fn func(w int)) {
-	var (
-		wg sync.WaitGroup
-		pg panicGuard
-	)
-	wg.Add(n - 1)
-	for w := 1; w < n; w++ {
-		go func() {
-			defer wg.Done()
-			pg.run(func() { fn(w) })
-		}()
-	}
-	pg.run(func() { fn(0) })
-	wg.Wait()
-	pg.reraise()
 }
 
 // panicGuard keeps the first panic of the calls it runs, for the caller to

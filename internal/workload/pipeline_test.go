@@ -68,7 +68,8 @@ func meterWeightsPrev(m *meter, codes []int32, hist []int) {
 type pruning struct{ t, surplus, cut, chunk int }
 
 // checkDrawWeights draws l's weights through drawWeights in chunks of
-// chunk values and meters them through their pruning threshold, then
+// chunk values and meters them through their pruning threshold on one
+// goroutine, then
 // requires the histogram, every per-channel and per-filter count, the
 // codes quant.PruneAt leaves and the stream position after the draw to
 // equal weightsPrev's from the same seed. The chunk-read tie cut must
@@ -86,7 +87,9 @@ func checkDrawWeights(t *testing.T, seed int64, l model.Layer, bits int, wDensit
 		t.Fatalf("%+v %db density %v chunk %d: tie cut %d, scan from 0 says %d", l, bits, wDensity, chunk, cut, scan)
 	}
 	m := newMeter(l, bits, bits, gran)
-	m.weights(codes, hist, wt, cut)
+	m.prune(hist, wt, cut, 1)
+	filters(m, codes, 0, l.K, 0)
+	m.merge()
 	if !reflect.DeepEqual(m.s, want.s) || !reflect.DeepEqual(m.wHist, want.wHist) {
 		t.Fatalf("%+v %db density %v chunk %d (t %d, surplus %d, cut %d): meter\n%+v %v\nserial path\n%+v %v",
 			l, bits, wDensity, chunk, wt, surplus, cut, m.s, m.wHist, want.s, want.wHist)
@@ -106,7 +109,6 @@ func checkDrawWeights(t *testing.T, seed int64, l model.Layer, bits int, wDensit
 // of exactly one, and of k chunks ± 1, and requires the cases to cover
 // every pruning shape: nothing pruned (t = 0), a threshold without ties
 // kept (surplus = 0), and the surplus-th tie first or last in its chunk.
-// The 12- and 16-bit draws go through marked buckets of the code table.
 func TestDrawWeightsMatchesSerial(t *testing.T) {
 	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(0))
 	var noPrune, noTies, tieFirst, tieLast bool
@@ -122,7 +124,7 @@ func TestDrawWeightsMatchesSerial(t *testing.T) {
 			}
 			for _, l := range layers {
 				for _, d := range []float64{1, 0.9, 0.45, 0.1, 0} {
-					for _, bits := range []int{2, 4, 8, 12, 16} {
+					for _, bits := range []int{2, 4, 8} {
 						seed++
 						p := checkDrawWeights(t, seed, l, bits, d, atom.Granularity(1+seed%3), chunk)
 						noPrune = noPrune || p.t == 0
@@ -155,16 +157,15 @@ func FuzzDrawWeights(f *testing.F) {
 	})
 }
 
-// TestPipelinePanicReachesCaller checks that a panic in a synthesis job or
-// a meter worker is re-raised on the caller's goroutine once the workers
-// have stopped, so the runner's per-cell recover records a CellError —
-// what a cold /v1/model answers 500 from — instead of the unrecovered
-// panic killing the process, and that no goroutine the call started
-// outlives it. The synthesis cases run at GOMAXPROCS 1, 2 and 3: a chunk
-// job that panics coding the last chunk of the second layer, whose codes
-// are one short, and a meter job of the first layer, whose per-filter
-// counts are missing, which runs while the caller walks the layers after
-// it.
+// TestPipelinePanicReachesCaller checks that a panic in a synthesis job is
+// re-raised on the caller's goroutine once the workers have stopped, so
+// the runner's per-cell recover records a CellError — what a cold
+// /v1/model answers 500 from — instead of the unrecovered panic killing
+// the process, and that no goroutine the call started outlives it. The
+// cases run at GOMAXPROCS 1, 2 and 3: a chunk job that panics coding the
+// last chunk of the second layer, whose codes are one short, and a meter
+// job of the first layer, whose per-filter counts are missing, which runs
+// while the caller walks the layers after it.
 func TestPipelinePanicReachesCaller(t *testing.T) {
 	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(0))
 	layers := []model.Layer{
@@ -180,24 +181,17 @@ func TestPipelinePanicReachesCaller(t *testing.T) {
 	}
 	runs := []struct {
 		name, want string
-		run        func(workers int)
+		run        func()
 	}{
-		{"chunk job", "out of range", func(int) {
+		{"chunk job", "out of range", func() {
 			ws := weights()
 			ws[1].m, ws[1].codes = nil, make([]int32, ws[1].n-1)
 			NewGen(1).synthesize(ws, 1000, nil)
 		}},
-		{"meter job", "out of range", func(int) {
+		{"meter job", "out of range", func() {
 			ws := weights()
 			ws[0].m.s.WNZPerFilter = nil
 			NewGen(1).synthesize(ws, 1000, nil)
-		}},
-		{"fanOut", "worker failed", func(workers int) {
-			fanOut(workers, func(w int) {
-				if w == workers-1 {
-					panic("worker failed")
-				}
-			})
 		}},
 	}
 	for _, r := range runs {
@@ -205,7 +199,7 @@ func TestPipelinePanicReachesCaller(t *testing.T) {
 			runtime.GOMAXPROCS(workers)
 			before := runtime.NumGoroutine()
 			_, err := runner.MapCfg(context.Background(), runner.Serial(), runner.Cfg{}, 1, func(int) (struct{}, error) {
-				r.run(workers)
+				r.run()
 				return struct{}{}, nil
 			})
 			ces := runner.AsCellErrors(err)

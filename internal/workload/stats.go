@@ -39,7 +39,9 @@ type LayerStats struct {
 }
 
 // StatsFromTensors measures LayerStats from materialized operands, which
-// must have l's shape.
+// must have l's shape, at any width the tensors hold (16 bits included).
+// The weights are already pruned, so every non-zero one counts (t = 0),
+// and their filters are metered on the caller.
 func StatsFromTensors(l model.Layer, f *tensor.FeatureMap, k *tensor.KernelStack, gran atom.Granularity, booth bool) LayerStats {
 	m := newMeter(l, k.Bits, f.Bits, gran)
 	var hist []int
@@ -47,20 +49,24 @@ func StatsFromTensors(l model.Layer, f *tensor.FeatureMap, k *tensor.KernelStack
 		hist = quant.MagnitudeHist(f.Channel(c), hist)
 		m.plane(c, hist)
 	}
-	m.weights(k.Data, quant.MagnitudeHist(k.Data, nil), 0, 0)
+	m.prune(quant.MagnitudeHist(k.Data, nil), 0, 0, 1)
+	filters(m, k.Data, 0, l.K, 0)
+	m.merge()
 	return m.finish(booth)
 }
 
 // LayerStats draws a layer's operands exactly as LayerOperands does and
 // measures them as StatsFromTensors would, without materializing them.
-// It is NetworkStats on one layer. The booth flag selects NAF (true) or
-// popcount term counting for the bit-serial histograms.
+// It is NetworkStats on one layer, and panics as it does at a width
+// outside 2 to 8 bits. The booth flag selects NAF (true) or popcount term
+// counting for the bit-serial histograms.
 func (g *Gen) LayerStats(l model.Layer, wbits, abits int, gran atom.Granularity, t Targets, booth bool) LayerStats {
 	return g.stats([]model.Layer{l}, []int{wbits}, []int{abits}, []Targets{t}, gran, booth)[0]
 }
 
 // NetworkStats generates statistics for every layer of a network under a
-// precision assignment.
+// precision assignment of 2 to 8 bits per operand. It panics, naming the
+// width, at any other.
 func (g *Gen) NetworkStats(n *model.Network, p model.Precision, gran atom.Granularity, booth bool) []LayerStats {
 	ts := make([]Targets, len(n.Layers))
 	for i := range n.Layers {
@@ -73,8 +79,8 @@ func (g *Gen) NetworkStats(n *model.Network, p model.Precision, gran atom.Granul
 // synthesis pipeline and measures them. Each layer's activation planes are
 // coded on the caller into the generator's plane scratch, and each plane's
 // magnitude histogram is pruned instead of the plane. Its weights are then
-// coded into a weight slot, as bytes where they fit, and metered through
-// the pruning threshold instead of pruned (meter.prune).
+// coded into a weight slot as byte magnitudes and metered through the
+// pruning threshold instead of pruned (meter.prune).
 func (g *Gen) stats(ls []model.Layer, wbits, abits []int, ts []Targets, gran atom.Granularity, booth bool) []LayerStats {
 	ws := make([]*weightDraw, len(ls))
 	for i, l := range ls {
@@ -82,16 +88,14 @@ func (g *Gen) stats(ls []model.Layer, wbits, abits []int, ts []Targets, gran ato
 	}
 	// Size the slots once, at full size: growing them layer by layer
 	// leaves garbage.
-	var most [3]int
+	var mags, hists int
 	for _, w := range ws {
-		mags, codes, hists := w.needs(chunkLen)
-		most = [3]int{max(most[0], mags), max(most[1], codes), max(most[2], hists)}
+		m, h := w.needs(chunkLen)
+		mags, hists = max(mags, m), max(hists, h)
 	}
-	for i := range 2 {
-		s := &g.slots[i]
-		grow(&s.mags, most[0])
-		grow(&s.codes, most[1])
-		grow(&s.hists, most[2])
+	for i := range g.slots {
+		grow(&g.slots[i].mags, mags)
+		grow(&g.slots[i].hists, hists)
 	}
 	g.synthesize(ws, chunkLen, func(i int) { g.planes(ws[i].m, ts[i].ADensity) })
 	out := make([]LayerStats, len(ls))
@@ -108,7 +112,7 @@ func (g *Gen) stats(ls []model.Layer, wbits, abits []int, ts []Targets, gran ato
 func (g *Gen) planes(m *meter, aDensity float64) {
 	tab := actTable(m.s.ABits)
 	l := m.s.Layer
-	hist, plane := make([]int, tab.q.MaxCode()+1), grow(&g.slots[2].codes, l.H*l.W)
+	hist, plane := make([]int, tab.q.MaxCode()+1), grow(&g.plane, l.H*l.W)
 	for c := 0; c < l.C; c++ {
 		drawPlane(g, plane, tab, planeDensity(aDensity, c), hist)
 		m.plane(c, hist)
@@ -153,18 +157,6 @@ func (m *meter) plane(c int, hist []int) {
 			m.s.ActAtomsPerChan[c] += n * atom.CountNonZero(int32(mag), m.s.ABits, m.s.Gran)
 		}
 	}
-}
-
-// weights folds in the layer's kernel stack, its codes laid out (k, c, y,
-// x), as quant.PruneAt(codes, t, surplus) would leave them, where cut is
-// quant.TieCut(codes, t, surplus), and hist, their pruned magnitude
-// histogram. The filters are split across workers (filters).
-func (m *meter) weights(codes []int32, hist []int, t, cut int) {
-	k := m.s.Layer.K
-	w := procs(k)
-	m.prune(hist, t, cut, w)
-	fanOut(w, func(i int) { filters(m, codes, i*k/w, (i+1)*k/w, i) })
-	m.merge()
 }
 
 // prune readies the meter for weights whose pruned magnitude histogram is

@@ -54,7 +54,7 @@ func EvalTargets(netName string, wbits, abits int) Targets {
 		a = 0.45
 	}
 	// ±0.04 deterministic per-network jitter.
-	h := hash64(netName)
+	h := model.Hash(netName)
 	w += (float64(h%9) - 4) / 100
 	a += (float64((h>>8)%9) - 4) / 100
 	return Targets{WDensity: clamp01(w), ADensity: clamp01(a)}
@@ -70,28 +70,19 @@ func clamp01(x float64) float64 {
 	return x
 }
 
-func hash64(s string) uint64 {
-	var h uint64 = 1469598103934665603
-	for i := 0; i < len(s); i++ {
-		h ^= uint64(s[i])
-		h *= 1099511628211
-	}
-	return h
-}
-
 // DeriveSeed derives an independent stream seed from a base seed and a list
 // of labels (network name, precision, figure ID, …) by folding each label's
-// FNV-1a digest into a splitmix64 chain. Unlike ad-hoc mixing expressions
-// (e.g. seed ^ hash*bits, which multiplies entropy out of the low bits and
-// correlates streams that share factors), every label permutes the full
-// 64-bit state, so any two distinct label paths yield statistically
-// independent generators. Every experiment derives its generator this way,
-// which is what lets the harness run cells in any order — or in parallel —
-// with bit-identical results.
+// digest (model.Hash) into a splitmix64 chain. Unlike ad-hoc mixing
+// expressions (e.g. seed ^ hash*bits, which multiplies entropy out of the
+// low bits and correlates streams that share factors), every label
+// permutes the full 64-bit state, so any two distinct label paths yield
+// statistically independent generators. Every experiment derives its
+// generator this way, which is what lets the harness run cells in any
+// order — or in parallel — with bit-identical results.
 func DeriveSeed(base int64, labels ...string) int64 {
-	x := splitmix(uint64(base))
+	x := model.SplitMix(uint64(base))
 	for _, l := range labels {
-		x = splitmix(x ^ hash64(l))
+		x = model.SplitMix(x ^ model.Hash(l))
 	}
 	return int64(x)
 }
@@ -101,7 +92,8 @@ type Gen struct {
 	src   *source
 	rng   *rand.Rand         // reads src: the stream of rand.New(rand.NewSource(seed))
 	bufs  [maxBufs + 1]draws // the synthesis pipeline's chunk buffers, and last the caller's own
-	slots [3]slot            // the synthesis runs' scratches, reused across layers and runs
+	slots [2]slot            // the synthesis runs' weight scratches, reused across layers and runs
+	plane []int32            // the stats path's activation-plane scratch
 }
 
 // NewGen returns a generator seeded with seed. It draws the values
@@ -128,9 +120,10 @@ func (g *Gen) Walk(n int) {
 	}
 }
 
-// FeatureMap generates a c×h×w activation map at the given bit-width:
-// rectified-Gaussian values quantized with the default activation clip, then
-// pruned (smallest magnitudes first) toward the target value density.
+// FeatureMap generates a c×h×w activation map at the given bit-width, 2 to
+// 8 bits (it panics, naming the width, at any other): rectified-Gaussian
+// values quantized with the default activation clip, then pruned (smallest
+// magnitudes first) toward the target value density.
 //
 // Real feature maps have strongly uneven per-channel occupancy (some filters
 // fire rarely) — the effect Ristretto's w/a load balancing exploits — so the
@@ -153,7 +146,7 @@ func (g *Gen) FeatureMap(c, h, w, bits int, aDensity float64) *tensor.FeatureMap
 // is hashed by channel index (not sequential) so that cyclic tile
 // assignment does not accidentally balance it.
 func planeDensity(aDensity float64, ch int) float64 {
-	factor := 0.4 + 1.2*float64(splitmix(uint64(ch)+0x9e37)%1024)/1023
+	factor := 0.4 + 1.2*float64(model.SplitMix(uint64(ch)+0x9e37)%1024)/1023
 	return clamp01(aDensity * factor)
 }
 
@@ -167,16 +160,10 @@ func weightQuantizer(bits int) quant.Quantizer {
 	return quant.NewSigned(1, quant.Config{Bits: bits, ClipSigma: quant.DefaultWeightClip(bits)})
 }
 
-func splitmix(x uint64) uint64 {
-	x += 0x9e3779b97f4a7c15
-	x = (x ^ (x >> 30)) * 0xbf58476d1ce4e5b9
-	x = (x ^ (x >> 27)) * 0x94d049bb133111eb
-	return x ^ (x >> 31)
-}
-
-// Kernels generates a k×c×kh×kw kernel stack at the given bit-width:
-// Gaussian weights quantized with the default weight clip, pruned to the
-// target density as PruneToDensity would.
+// Kernels generates a k×c×kh×kw kernel stack at the given bit-width, 2 to 8
+// bits (it panics, naming the width, at any other): Gaussian weights
+// quantized with the default weight clip, pruned to the target density as
+// PruneToDensity would.
 func (g *Gen) Kernels(k, c, kh, kw, bits int, wDensity float64) *tensor.KernelStack {
 	ks := tensor.NewKernelStack(k, c, kh, kw, bits)
 	w := g.drawWeights(ks.Data, bits, wDensity, chunkLen)
@@ -260,7 +247,8 @@ func (g *Gen) SparseVector(n, bits int, density float64, signed bool) []int32 {
 }
 
 // LayerOperands generates the full activation and weight tensors of a layer
-// at the given precisions and targets.
+// at the given precisions, 2 to 8 bits each, and targets; it panics as
+// FeatureMap and Kernels do at any other width.
 func (g *Gen) LayerOperands(l model.Layer, wbits, abits int, t Targets) (*tensor.FeatureMap, *tensor.KernelStack) {
 	f := g.FeatureMap(l.C, l.H, l.W, abits, t.ADensity)
 	k := g.Kernels(l.K, l.C, l.KH, l.KW, wbits, t.WDensity)

@@ -1,7 +1,11 @@
 package workload
 
 import (
+	"fmt"
 	"math"
+	"math/rand"
+	"reflect"
+	"strings"
 	"testing"
 
 	"ristretto/internal/atom"
@@ -222,5 +226,48 @@ func TestDeriveSeedDecorrelatesLowBits(t *testing.T) {
 	}
 	if flips < n/4 || flips > 3*n/4 {
 		t.Fatalf("low bit flipped %d/%d times; seeds correlated", flips, n)
+	}
+}
+
+// TestSynthesisWidths checks the widths synthesis serves. At every width
+// from 2 to 8 bits, FeatureMap and Kernels must equal math/rand's draws
+// (refGen) and LayerStats and NetworkStats must draw; at 9, 12 and 16 bits
+// all four must panic with a message that names the width.
+func TestSynthesisWidths(t *testing.T) {
+	l := model.Layer{Name: "l", C: 3, H: 6, W: 5, K: 4, KH: 3, KW: 3, Stride: 1, Pad: 1}
+	n := &model.Network{Name: "one-layer", Layers: []model.Layer{l}}
+	tg := Targets{WDensity: 0.5, ADensity: 0.4}
+	draws := []struct {
+		name string
+		draw func(g *Gen, bits int)
+	}{
+		{"FeatureMap", func(g *Gen, bits int) { g.FeatureMap(l.C, l.H, l.W, bits, tg.ADensity) }},
+		{"Kernels", func(g *Gen, bits int) { g.Kernels(l.K, l.C, l.KH, l.KW, bits, tg.WDensity) }},
+		{"LayerStats", func(g *Gen, bits int) { g.LayerStats(l, bits, bits, 2, tg, true) }},
+		{"NetworkStats", func(g *Gen, bits int) { g.NetworkStats(n, model.Uniform(n, bits), 2, true) }},
+	}
+	for bits := 2; bits <= 8; bits++ {
+		g, r := NewGen(int64(bits)), refGen{rand.New(rand.NewSource(int64(bits)))}
+		if !reflect.DeepEqual(g.FeatureMap(l.C, l.H, l.W, bits, tg.ADensity), r.featureMap(l.C, l.H, l.W, bits, tg.ADensity)) {
+			t.Fatalf("FeatureMap at %d bits differs from math/rand's", bits)
+		}
+		if !reflect.DeepEqual(g.Kernels(l.K, l.C, l.KH, l.KW, bits, tg.WDensity), r.kernels(l.K, l.C, l.KH, l.KW, bits, tg.WDensity)) {
+			t.Fatalf("Kernels at %d bits differs from math/rand's", bits)
+		}
+		for _, d := range draws[2:] {
+			d.draw(g, bits)
+		}
+	}
+	for _, d := range draws {
+		for _, bits := range []int{9, 12, 16} {
+			msg := func() (msg string) {
+				defer func() { msg = fmt.Sprint(recover()) }()
+				d.draw(NewGen(1), bits)
+				return ""
+			}()
+			if !strings.Contains(msg, fmt.Sprintf("%d-bit", bits)) {
+				t.Fatalf("%s at %d bits: panic %q, want one that names the width", d.name, bits, msg)
+			}
+		}
 	}
 }
